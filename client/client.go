@@ -100,8 +100,11 @@ type OrderResult struct {
 	// Winners and Eigensolves summarize auto portfolio runs.
 	Winners     map[string]int `json:"winners,omitempty"`
 	Eigensolves int            `json:"eigensolves,omitempty"`
-	// Cached reports whether the server had the graph (and so its
-	// eigensolves and other artifacts) already resident.
+	// Cached reports whether the expensive artifacts behind this ordering
+	// were available without solving: the graph was resident in the
+	// tenant's graph cache (so its eigensolves and other artifacts apply),
+	// or the persistent store held the whole-graph eigensolve for this
+	// content and seed (a warm restart).
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }

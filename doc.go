@@ -225,9 +225,9 @@
 // is 0 allocs/op per solve. The matvec itself is laplacian.ParallelOp:
 // nonzero-balanced row blocks executed by a pool of persistent worker
 // goroutines shared process-wide, engaged automatically above the
-// laplacian.MinRowsPerWorker / MinNnzPerWorker thresholds (the tunable
-// parallel-crossover knobs) or by explicit request, with the chosen
-// fan-out reported as SolveStats.Workers through every layer. The operator
+// laplacian.MinRowsPerWorker / MinNnzPerWorker thresholds or by explicit
+// request, with the chosen fan-out reported as SolveStats.Workers through
+// every layer. The operator
 // also picks its storage layout per graph (laplacian.Auto/AutoFrom): above
 // laplacian.SellMinRows rows it is repacked into a SELL-C-σ sliced-ELLPACK
 // layout (laplacian.NewSell; rows degree-sorted within σ-windows, packed

@@ -8,12 +8,11 @@ import (
 )
 
 // Worker-count heuristics for the auto path (NewParallelOp with
-// workers ≤ 0). They are variables, not constants, so deployments can tune
-// the parallel crossover: a graph gets one worker per MinRowsPerWorker rows
-// OR per MinNnzPerWorker stored nonzeros, whichever grants more — the nnz
-// term keeps small-but-dense graphs from serializing on the row count
-// alone. Explicit worker requests bypass both (see NewParallelOp).
-var (
+// workers ≤ 0): a graph gets one worker per MinRowsPerWorker rows OR per
+// MinNnzPerWorker stored nonzeros, whichever grants more — the nnz term
+// keeps small-but-dense graphs from serializing on the row count alone.
+// Explicit worker requests bypass both (see NewParallelOp).
+const (
 	MinRowsPerWorker = 4096
 	MinNnzPerWorker  = 16384
 )

@@ -119,10 +119,7 @@ func TestParallelExplicitWorkersHonored(t *testing.T) {
 // small-but-dense graph (few rows, many nonzeros) may parallelize even
 // though its row count alone would serialize it.
 func TestParallelAutoNnzHeuristic(t *testing.T) {
-	defer func(r, z int) { MinRowsPerWorker, MinNnzPerWorker = r, z }(MinRowsPerWorker, MinNnzPerWorker)
-	MinRowsPerWorker = 1 << 30 // rows alone would always serialize
-	MinNnzPerWorker = 1000
-	g := graph.Complete(60) // 60 rows, 3540 stored nonzeros
+	g := graph.Complete(256) // 256 rows (well under MinRowsPerWorker), 65 280 stored nonzeros
 	pop := NewParallelOp(New(g), 0)
 	want := len(g.Adj) / MinNnzPerWorker
 	if maxp := runtime.GOMAXPROCS(0); want > maxp {
@@ -132,7 +129,7 @@ func TestParallelAutoNnzHeuristic(t *testing.T) {
 		want = 1
 	}
 	if pop.Workers() != want {
-		t.Fatalf("auto on K60 got %d workers, want %d", pop.Workers(), want)
+		t.Fatalf("auto on K256 got %d workers, want %d", pop.Workers(), want)
 	}
 }
 

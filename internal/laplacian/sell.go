@@ -9,10 +9,9 @@ import "sort"
 // floating-point dependency chains where the CSR row loop has one.
 const sellC = 8
 
-// Layout tunables for the SELL-C-σ slice operator. They are variables so
-// deployments can tune the crossover; the defaults are measured on the
-// bench grids (see BenchmarkSpMV).
-var (
+// Layout constants for the SELL-C-σ slice operator, measured on the bench
+// grids (see BenchmarkSpMV).
+const (
 	// SellSigma is the σ sorting-window size: vertices are sorted by
 	// degree (descending) within windows of σ consecutive rows before
 	// being packed into slices of sellC rows. Larger windows make slices
@@ -62,10 +61,12 @@ type Sell struct {
 // memory traffic; use it when the operator will be applied repeatedly
 // (every eigensolve does), and prefer Auto/AutoFrom, which select it
 // automatically above SellMinRows.
-func NewSell(op *Op) *Sell {
+func NewSell(op *Op) *Sell { return newSell(op, SellSigma) }
+
+// newSell packs with an explicit σ window, so tests can sweep it.
+func newSell(op *Op, sigma int) *Sell {
 	g := op.G
 	n := g.N()
-	sigma := SellSigma
 	if sigma < sellC {
 		sigma = sellC
 	}

@@ -38,15 +38,13 @@ func sellSuite(t testing.TB) []*graph.Graph {
 // TestSellMatchesCSRBitwise is the tentpole equivalence property: the
 // SELL-C-σ operator reproduces the CSR Op bitwise for Apply and
 // ApplyAxpy on every suite graph, under every worker count 1..8 (all
-// through the persistent pool), and under perturbed layout tunables.
+// through the persistent pool), and under several σ windows.
 func TestSellMatchesCSRBitwise(t *testing.T) {
-	defer func(sig int) { SellSigma = sig }(SellSigma)
-	for _, sigma := range []int{8, 64, 256} {
-		SellSigma = sigma
+	for _, sigma := range []int{8, 64, SellSigma} {
 		for gi, g := range sellSuite(t) {
 			n := g.N()
 			op := New(g)
-			sell := NewSell(op)
+			sell := newSell(op, sigma)
 			x := make([]float64, n)
 			q := make([]float64, n)
 			for i := range x {

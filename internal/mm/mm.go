@@ -7,8 +7,10 @@ package mm
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -55,57 +57,99 @@ func (lr *lineReader) sizeLine() (string, error) {
 	}
 }
 
+// ErrTooManyVertices is returned, wrapped, when a size line declares more
+// vertices than the reader's limit.
+var ErrTooManyVertices = errors.New("mm: too many vertices")
+
 // ReadGraph parses a Matrix Market file and returns the adjacency graph of
 // the matrix pattern: off-diagonal entries become edges (values, if
-// present, are ignored); diagonal entries are dropped (the envelope
-// definitions assume a full nonzero diagonal anyway). The matrix must be
-// square and declared symmetric (or skew-symmetric/hermitian, which share
-// the one-triangle storage convention); "general" matrices are accepted and
-// symmetrized.
+// present, are checked but otherwise ignored); diagonal entries are dropped
+// (the envelope definitions assume a full nonzero diagonal anyway). The
+// matrix must be square and declared symmetric (or skew-symmetric/hermitian,
+// which share the one-triangle storage convention); "general" matrices are
+// accepted and symmetrized.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
+	g, _, err := Read(r, false, math.MaxInt32)
+	return g, err
+}
+
+// ReadWeighted parses a Matrix Market coordinate file keeping the entry
+// magnitudes: it returns the pattern graph together with a symmetric
+// weight function weight(u,v) = |a_uv| suitable for the weighted spectral
+// ordering (core.WeightedSpectral). Pattern files get unit weights;
+// duplicate entries keep the last value; for "general" matrices the
+// magnitudes of a_uv and a_vu may differ, in which case the larger wins.
+// Zero-valued stored entries receive the smallest positive stored
+// magnitude so the weight function stays positive on the pattern.
+func ReadWeighted(r io.Reader) (*graph.Graph, func(u, v int) float64, error) {
+	return Read(r, true, math.MaxInt32)
+}
+
+// Read is the coordinate-format reader behind ReadGraph and ReadWeighted.
+// Both modes accept the same files and build the same graph; with weighted
+// false no weight is recorded and the weight function is nil. A size line
+// that declares more than maxN vertices (or more than math.MaxInt32, since
+// graph indices are int32) fails with ErrTooManyVertices before anything
+// is allocated for them, so a caller can bound what a short input costs.
+func Read(r io.Reader, weighted bool, maxN int) (*graph.Graph, func(u, v int) float64, error) {
 	lr := newLineReader(r)
 	header, err := lr.next()
 	if err != nil {
-		return nil, fmt.Errorf("mm: reading header: %w", err)
+		return nil, nil, fmt.Errorf("mm: reading header: %w", err)
 	}
 	fields := strings.Fields(strings.ToLower(header))
 	if len(fields) < 4 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
-		return nil, fmt.Errorf("mm: not a Matrix Market file: %q", strings.TrimSpace(header))
+		return nil, nil, fmt.Errorf("mm: not a Matrix Market file: %q", strings.TrimSpace(header))
 	}
 	if fields[2] != "coordinate" {
-		return nil, fmt.Errorf("mm: only coordinate format supported, got %q", fields[2])
+		return nil, nil, fmt.Errorf("mm: only coordinate format supported, got %q", fields[2])
 	}
 	valType := fields[3]
 	switch valType {
 	case "real", "integer", "pattern", "complex":
 	default:
-		return nil, fmt.Errorf("mm: unknown value type %q", valType)
+		return nil, nil, fmt.Errorf("mm: unknown value type %q", valType)
 	}
+	hasValues := valType != "pattern"
 
 	sizeLine, err := lr.sizeLine()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
-		return nil, fmt.Errorf("mm: bad size line %q: %w", sizeLine, err)
+		return nil, nil, fmt.Errorf("mm: bad size line %q: %w", sizeLine, err)
 	}
 	if rows != cols {
-		return nil, fmt.Errorf("mm: matrix is %dx%d, want square", rows, cols)
+		return nil, nil, fmt.Errorf("mm: matrix is %dx%d, want square", rows, cols)
 	}
 	if rows < 0 || nnz < 0 {
-		return nil, fmt.Errorf("mm: negative dimensions")
+		return nil, nil, fmt.Errorf("mm: negative dimensions")
+	}
+	if rows > maxN || rows > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("%w: %d declared, limit %d", ErrTooManyVertices, rows, min(maxN, math.MaxInt32))
 	}
 
+	key := func(u, v int) int64 {
+		if u > v {
+			u, v = v, u
+		}
+		return int64(u)<<32 | int64(v)
+	}
+	var weights map[int64]float64
+	if weighted {
+		weights = map[int64]float64{}
+	}
 	b := graph.NewBuilder(rows)
 	read := 0
+	minPos := math.Inf(1)
 	for read < nnz {
 		line, err := lr.next()
 		if err != nil {
 			if err == io.EOF {
-				return nil, fmt.Errorf("mm: expected %d entries, got %d (truncated file?)", nnz, read)
+				return nil, nil, fmt.Errorf("mm: expected %d entries, got %d (truncated file?)", nnz, read)
 			}
-			return nil, fmt.Errorf("mm: %w", err)
+			return nil, nil, fmt.Errorf("mm: %w", err)
 		}
 		t := strings.TrimSpace(line)
 		if t == "" || strings.HasPrefix(t, "%") {
@@ -113,22 +157,62 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 		}
 		f := strings.Fields(t)
 		if len(f) < 2 {
-			return nil, fmt.Errorf("mm: bad entry line %q", t)
+			return nil, nil, fmt.Errorf("mm: bad entry line %q", t)
 		}
 		i, err1 := strconv.Atoi(f[0])
 		j, err2 := strconv.Atoi(f[1])
 		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("mm: bad indices in %q", t)
+			return nil, nil, fmt.Errorf("mm: bad indices in %q", t)
 		}
 		if i < 1 || i > rows || j < 1 || j > rows {
-			return nil, fmt.Errorf("mm: entry (%d,%d) out of range [1,%d]", i, j, rows)
+			return nil, nil, fmt.Errorf("mm: entry (%d,%d) out of range [1,%d]", i, j, rows)
+		}
+		w := 1.0
+		if hasValues {
+			if len(f) < 3 {
+				return nil, nil, fmt.Errorf("mm: missing value in %q", t)
+			}
+			v, err := strconv.ParseFloat(f[2], 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("mm: bad value in %q: %w", t, err)
+			}
+			w = math.Abs(v)
+			if valType == "complex" && len(f) >= 4 {
+				im, err := strconv.ParseFloat(f[3], 64)
+				if err != nil {
+					return nil, nil, fmt.Errorf("mm: bad imaginary part in %q: %w", t, err)
+				}
+				w = math.Hypot(v, im)
+			}
 		}
 		if i != j {
 			b.AddEdge(i-1, j-1)
+			if weighted {
+				k := key(i-1, j-1)
+				if w > weights[k] {
+					weights[k] = w
+				}
+				if w > 0 && w < minPos {
+					minPos = w
+				}
+			}
 		}
 		read++
 	}
-	return b.Build(), nil
+	g := b.Build()
+	if !weighted {
+		return g, nil, nil
+	}
+	if math.IsInf(minPos, 1) {
+		minPos = 1
+	}
+	weight := func(u, v int) float64 {
+		if w := weights[key(u, v)]; w > 0 {
+			return w
+		}
+		return minPos
+	}
+	return g, weight, nil
 }
 
 // WriteGraph writes the graph's pattern as a Matrix Market symmetric

@@ -2,6 +2,7 @@ package mm
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -74,11 +75,18 @@ func TestReadErrors(t *testing.T) {
 		"out of range":  "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n3 1\n",
 		"short entries": "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 5\n1 1\n2 1\n",
 		"bad size line": "%%MatrixMarket matrix coordinate pattern symmetric\nx y z\n",
+		"negative size": "%%MatrixMarket matrix coordinate pattern symmetric\n-3 -3 0\n",
+		"over int32":    "%%MatrixMarket matrix coordinate pattern symmetric\n2147483648 2147483648 0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadGraph(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// The caller's vertex limit is refused before the vertices are built.
+	in := "%%MatrixMarket matrix coordinate pattern symmetric\n2147483647 2147483647 0\n"
+	if _, _, err := Read(strings.NewReader(in), false, 1000); !errors.Is(err, ErrTooManyVertices) {
+		t.Errorf("n above the limit: err = %v, want ErrTooManyVertices", err)
 	}
 }
 

@@ -100,6 +100,7 @@ func TestReadWeightedErrors(t *testing.T) {
 		"bad value":     "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 xyz\n",
 		"not square":    "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n",
 		"array":         "%%MatrixMarket matrix array real symmetric\n2 2\n",
+		"negative size": "%%MatrixMarket matrix coordinate real symmetric\n-3 -3 0\n",
 	}
 	for name, in := range cases {
 		if _, _, err := ReadWeighted(strings.NewReader(in)); err == nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	envred "repro"
@@ -128,16 +129,17 @@ func TestOrderBatchGraphJSONAndPartialFailure(t *testing.T) {
 func TestOrderBatchValidation(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	for _, tc := range []struct {
-		name, doc, wantFrag string
+		name, doc, wantFrag, query string
 	}{
-		{"no-algorithm", `{"items":[{"graph":{"n":1,"edges":[]}}]}`, "must name an algorithm"},
-		{"auto", `{"algorithm":"auto","items":[{"graph":{"n":1,"edges":[]}}]}`, "not batchable"},
-		{"weighted", `{"algorithm":"weighted","items":[{"graph":{"n":1,"edges":[]}}]}`, "not batchable"},
-		{"unknown", `{"algorithm":"nope","items":[{"graph":{"n":1,"edges":[]}}]}`, "unknown algorithm"},
-		{"empty", `{"algorithm":"rcm","items":[]}`, "no items"},
-		{"bad-json", `{"algorithm":`, "bad JSON"},
+		{"no-algorithm", `{"items":[{"graph":{"n":1,"edges":[]}}]}`, "must name an algorithm", ""},
+		{"auto", `{"algorithm":"auto","items":[{"graph":{"n":1,"edges":[]}}]}`, "not batchable", ""},
+		{"weighted", `{"algorithm":"weighted","items":[{"graph":{"n":1,"edges":[]}}]}`, "not batchable", ""},
+		{"unknown", `{"algorithm":"nope","items":[{"graph":{"n":1,"edges":[]}}]}`, "unknown algorithm", ""},
+		{"empty", `{"algorithm":"rcm","items":[]}`, "no items", ""},
+		{"bad-json", `{"algorithm":`, "bad JSON", ""},
+		{"bad-timeout", `{"algorithm":"rcm","items":[{"graph":{"n":1,"edges":[]}}]}`, "bad timeout", "?timeout=banana"},
 	} {
-		resp, body := postBatch(t, ts.URL+"/v1/order/batch", tc.doc)
+		resp, body := postBatch(t, ts.URL+"/v1/order/batch"+tc.query, tc.doc)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, body)
 		}
@@ -177,5 +179,57 @@ func TestOrderBatchMetrics(t *testing.T) {
 	}
 	if !strings.Contains(text, `envorderd_orders_total{algorithm="RCM",status="ok"} 2`) {
 		t.Fatalf("metrics missing 2 ok RCM orders:\n%s", text)
+	}
+}
+
+// seedEchoInit registers the SEED-ECHO test orderer once per process: it
+// returns the random permutation its request seed selects, so a reply
+// shows which seed the daemon ran with.
+var seedEchoInit sync.Once
+
+func registerSeedEcho(t *testing.T) {
+	t.Helper()
+	seedEchoInit.Do(func() {
+		envred.MustRegister("seed-echo", envred.OrdererFunc(func(ctx context.Context, g *envred.Graph, req *envred.OrderRequest) (envred.Result, error) {
+			return envred.Result{Perm: envred.RandomPerm(g.N(), req.Seed)}, nil
+		}))
+	})
+}
+
+// TestOrderBatchQuerySeed pins that batch documents take their parameters
+// from the query like every other ordering endpoint, with the body
+// winning: ?seed=7 on a seedless document orders exactly as "seed":7.
+func TestOrderBatchQuerySeed(t *testing.T) {
+	registerSeedEcho(t)
+	_, ts := newTestServer(t, service.Config{Seed: 1})
+	perms := func(query, seed string) string {
+		t.Helper()
+		doc := `{"algorithm":"seed-echo",` + seed + `"items":[{"graph":{"n":40,"edges":[]}},{"graph":{"n":25,"edges":[[0,1]]}}]}`
+		resp, body := postBatch(t, ts.URL+"/v1/order/batch"+query, doc)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", query, seed, resp.StatusCode, body)
+		}
+		var rep batchReply
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		out := ""
+		for i, item := range rep.Results {
+			if item == nil {
+				t.Fatalf("%s %s: item %d failed: %+v", query, seed, i, rep.Errors)
+			}
+			out += fmt.Sprint(item.Perm)
+		}
+		return out
+	}
+	want := perms("", `"seed":7,`)
+	if got := perms("?seed=7", ""); got != want {
+		t.Fatalf("?seed=7 ordered %s, \"seed\":7 ordered %s", got, want)
+	}
+	if got := perms("?seed=3", `"seed":7,`); got != want {
+		t.Fatalf("the body's seed must win over the query's: got %s, want %s", got, want)
+	}
+	if perms("", "") == want {
+		t.Fatal("seed 7 orders like the server default; the test cannot tell them apart")
 	}
 }

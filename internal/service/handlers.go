@@ -1,94 +1,24 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	envred "repro"
+	"repro/client"
 	"repro/internal/core"
-	"repro/internal/envelope"
 	"repro/internal/graph"
-	"repro/internal/mm"
 	"repro/internal/perm"
 	"repro/internal/pipeline"
 	"repro/internal/scratch"
-	"repro/internal/solver"
 )
 
-// Wire format ----------------------------------------------------------------
-
-// orderRequestJSON is the JSON request document of POST /v1/order,
-// POST /v1/jobs and /v1/fiedler. Exactly one of Graph and MatrixMarket
-// must carry the graph. Query parameters (algorithm, seed, timeout) fill
-// any field the body leaves zero.
-type orderRequestJSON struct {
-	Algorithm    string     `json:"algorithm,omitempty"`
-	Seed         int64      `json:"seed,omitempty"`
-	TimeoutMS    int64      `json:"timeout_ms,omitempty"`
-	Graph        *graphJSON `json:"graph,omitempty"`
-	MatrixMarket string     `json:"matrix_market,omitempty"`
-}
-
-// graphJSON is the adjacency-list graph encoding: n vertices labeled
-// 0..n-1 and an undirected edge list (duplicates and self-loops are
-// dropped). Weights, when present, align with Edges and feed the WEIGHTED
-// algorithm.
-type graphJSON struct {
-	N       int       `json:"n"`
-	Edges   [][2]int  `json:"edges"`
-	Weights []float64 `json:"weights,omitempty"`
-}
-
-// orderResponse is the ordering reply document.
-type orderResponse struct {
-	Algorithm string       `json:"algorithm"`
-	N         int          `json:"n"`
-	Nonzeros  int          `json:"nonzeros"`
-	Perm      perm.Perm    `json:"perm"`
-	Envelope  envelopeJSON `json:"envelope"`
-	// Lambda2 and Solve report the eigensolver when the algorithm ran one.
-	Lambda2 float64       `json:"lambda2,omitempty"`
-	Solve   *solver.Stats `json:"solve,omitempty"`
-	// Winners and Eigensolves summarize AUTO portfolio runs.
-	Winners     map[string]int `json:"winners,omitempty"`
-	Eigensolves int            `json:"eigensolves,omitempty"`
-	// Cached is true when the expensive artifacts behind this ordering were
-	// already available without solving: the graph was resident in the
-	// tenant's graph cache (so the Session's in-memory artifacts apply), or
-	// the persistent store held the whole-graph eigensolve for this content
-	// and seed — the warm-restart case.
-	Cached    bool    `json:"cached"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// envelopeJSON mirrors envelope.Stats with stable snake_case field names.
-type envelopeJSON struct {
-	Esize         int64 `json:"esize"`
-	Ework         int64 `json:"ework"`
-	Bandwidth     int   `json:"bandwidth"`
-	OneSum        int64 `json:"one_sum"`
-	TwoSum        int64 `json:"two_sum"`
-	MaxFrontwidth int   `json:"max_frontwidth"`
-}
-
-func envelopeOf(s envelope.Stats) envelopeJSON {
-	return envelopeJSON{
-		Esize:         s.Esize,
-		Ework:         s.Ework,
-		Bandwidth:     s.Bandwidth,
-		OneSum:        s.OneSum,
-		TwoSum:        s.TwoSum,
-		MaxFrontwidth: s.MaxFrontwidth,
-	}
-}
+// Replies are the client package's exported response types, so the wire
+// format is declared once, where callers decode it.
 
 // apiError is the uniform error reply: {"error": ...} plus, on 503
 // timeouts, the best_so_far flag and — when an interrupted eigensolve
@@ -113,252 +43,116 @@ func writeError(w http.ResponseWriter, e *apiError) {
 	writeJSON(w, e.Status, e)
 }
 
-// Request parsing -------------------------------------------------------------
-
-// orderPayload is a parsed, validated ordering request.
-type orderPayload struct {
-	algorithm string // canonical registry name, or "AUTO"
-	seed      int64
-	timeout   time.Duration
-	g         *graph.Graph
-	// weight is non-nil for WEIGHTED requests; weighted graphs are not
-	// interned (the pattern may repeat with different values).
-	weight func(u, v int) float64
-}
-
-// parseOrderPayload reads one ordering request. JSON bodies carry the
-// orderRequestJSON document; any other content type is a raw Matrix
-// Market body with parameters in the query string. Oversize bodies give
-// 413, malformed graphs 400.
-func (s *Server) parseOrderPayload(w http.ResponseWriter, r *http.Request) (*orderPayload, *apiError) {
-	body, aerr := s.readBody(w, r)
-	if aerr != nil {
-		return nil, aerr
-	}
-	p := &orderPayload{seed: s.cfg.Seed, timeout: s.cfg.DefaultTimeout}
-	q := r.URL.Query()
-	algorithm := q.Get("algorithm")
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad seed %q: %v", v, err)}
-		}
-		p.seed = n
-	}
-	if v := q.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad timeout %q (want a Go duration like 2s): %v", v, err)}
-		}
-		p.timeout = d
-	}
-
-	var doc orderRequestJSON
-	isJSON := strings.Contains(r.Header.Get("Content-Type"), "json")
-	if isJSON {
-		if err := json.Unmarshal(body, &doc); err != nil {
-			return nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad JSON body: %v", err)}
-		}
-		if doc.Algorithm != "" {
-			algorithm = doc.Algorithm
-		}
-		if doc.Seed != 0 {
-			p.seed = doc.Seed
-		}
-		if doc.TimeoutMS != 0 {
-			p.timeout = time.Duration(doc.TimeoutMS) * time.Millisecond
-		}
-	}
-	if algorithm == "" {
-		algorithm = "auto"
-	}
-	p.algorithm = strings.ToUpper(strings.TrimSpace(algorithm))
-	if p.algorithm != "AUTO" {
-		if _, ok := envred.Lookup(p.algorithm); !ok {
-			return nil, &apiError{Status: http.StatusBadRequest,
-				Message: fmt.Sprintf("unknown algorithm %q (registered: %s, plus AUTO)", algorithm, strings.Join(envred.Algorithms(), ", "))}
-		}
-	}
-	weighted := p.algorithm == envred.AlgWeighted
-
-	switch {
-	case isJSON && doc.Graph != nil:
-		g, weight, aerr := buildGraphJSON(doc.Graph, weighted)
-		if aerr != nil {
-			return nil, aerr
-		}
-		p.g, p.weight = g, weight
-	case isJSON && doc.MatrixMarket != "":
-		g, weight, aerr := parseMM(strings.NewReader(doc.MatrixMarket), weighted)
-		if aerr != nil {
-			return nil, aerr
-		}
-		p.g, p.weight = g, weight
-	case isJSON:
-		return nil, &apiError{Status: http.StatusBadRequest, Message: "JSON body carries neither \"graph\" nor \"matrix_market\""}
-	case len(body) == 0:
-		return nil, &apiError{Status: http.StatusBadRequest, Message: "empty body (send a Matrix Market matrix, or a JSON document with Content-Type: application/json)"}
-	default:
-		g, weight, aerr := parseMM(bytes.NewReader(body), weighted)
-		if aerr != nil {
-			return nil, aerr
-		}
-		p.g, p.weight = g, weight
-	}
-	if weighted && p.weight == nil {
-		return nil, &apiError{Status: http.StatusBadRequest, Message: "algorithm WEIGHTED needs edge weights (a valued Matrix Market body, or graph.weights)"}
-	}
-	return p, nil
-}
-
-// readBody drains the request body under the configured size cap.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiError) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes()))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, &apiError{Status: http.StatusRequestEntityTooLarge,
-				Message: fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit)}
-		}
-		return nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("reading body: %v", err)}
-	}
-	return body, nil
-}
-
-func buildGraphJSON(doc *graphJSON, weighted bool) (*graph.Graph, func(u, v int) float64, *apiError) {
-	if doc.N < 0 {
-		return nil, nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("graph.n = %d is negative", doc.N)}
-	}
-	if weighted && len(doc.Weights) != len(doc.Edges) {
-		return nil, nil, &apiError{Status: http.StatusBadRequest,
-			Message: fmt.Sprintf("graph.weights has %d entries for %d edges", len(doc.Weights), len(doc.Edges))}
-	}
-	b := graph.NewBuilder(doc.N)
-	weights := map[[2]int]float64{}
-	for i, e := range doc.Edges {
-		u, v := e[0], e[1]
-		if u < 0 || u >= doc.N || v < 0 || v >= doc.N {
-			return nil, nil, &apiError{Status: http.StatusBadRequest,
-				Message: fmt.Sprintf("edge %d (%d,%d) out of range [0,%d)", i, u, v, doc.N)}
-		}
-		b.AddEdge(u, v)
-		if weighted && u != v {
-			if u > v {
-				u, v = v, u
-			}
-			weights[[2]int{u, v}] = doc.Weights[i]
-		}
-	}
-	g := b.Build()
-	if !weighted {
-		return g, nil, nil
-	}
-	return g, func(u, v int) float64 {
-		if u > v {
-			u, v = v, u
-		}
-		if w, ok := weights[[2]int{u, v}]; ok && w > 0 {
-			return w
-		}
-		return 1
-	}, nil
-}
-
-func parseMM(r io.Reader, weighted bool) (*graph.Graph, func(u, v int) float64, *apiError) {
-	if weighted {
-		g, weight, err := mm.ReadWeighted(r)
-		if err != nil {
-			return nil, nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad Matrix Market body: %v", err)}
-		}
-		return g, weight, nil
-	}
-	g, err := mm.ReadGraph(r)
-	if err != nil {
-		return nil, nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad Matrix Market body: %v", err)}
-	}
-	return g, nil, nil
-}
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Ordering execution ----------------------------------------------------------
 
-// runOrder executes one ordering end to end: tenant concurrency budget,
-// global solve pool, graph interning, dispatch, metrics. ctx must already
-// carry the request's timeout; queueing counts against it.
-func (s *Server) runOrder(ctx context.Context, tnt *tenant, p *orderPayload) (*orderResponse, *apiError) {
+// admit is the admission step of every ordering endpoint. It counts the
+// request in flight and takes a tenant slot and a solve-pool slot,
+// queueing under ctx. Then it interns each decoded graph, so a repeat
+// resolves to the resident instance whose Session artifacts apply, and
+// for each graph the interner missed it probes the persistent store for
+// the reply's cached flag. After a nil return the caller must call leave.
+func (s *Server) admit(ctx context.Context, tnt *tenant, req *request) *apiError {
 	s.m.inFlight.add(1)
-	defer s.m.inFlight.add(-1)
-
 	if aerr := acquire(ctx, tnt.sem); aerr != nil {
-		s.m.orders.inc(p.algorithm, "timeout")
-		return nil, aerr
+		s.m.inFlight.add(-1)
+		return aerr
 	}
-	defer release(tnt.sem)
 	if aerr := acquire(ctx, s.solveSem); aerr != nil {
-		s.m.orders.inc(p.algorithm, "timeout")
+		release(tnt.sem)
+		s.m.inFlight.add(-1)
+		return aerr
+	}
+	for i := range req.items {
+		it := &req.items[i]
+		if it.err != nil {
+			continue
+		}
+		if it.weight == nil {
+			it.g, it.cached = tnt.graphs.intern(it.g)
+		}
+		if it.cached {
+			s.m.cacheHits.inc()
+		} else {
+			s.m.cacheMisses.inc()
+			it.cached = it.weight == nil && s.storeHas(it.g, req.seed)
+		}
+	}
+	return nil
+}
+
+// leave releases what admit took.
+func (s *Server) leave(tnt *tenant) {
+	release(s.solveSem)
+	release(tnt.sem)
+	s.m.inFlight.add(-1)
+}
+
+// runOrder executes one singleton ordering end to end: admission,
+// dispatch, metrics. ctx must already carry the request's timeout;
+// queueing counts against it.
+func (s *Server) runOrder(ctx context.Context, tnt *tenant, req *request) (*client.OrderResult, *apiError) {
+	if aerr := s.admit(ctx, tnt, req); aerr != nil {
+		s.m.orders.inc(req.algorithm, "timeout")
 		return nil, aerr
 	}
-	defer release(s.solveSem)
-
-	cached := false
-	if p.weight == nil {
-		p.g, cached = tnt.graphs.intern(p.g)
-	}
-	if cached {
-		s.m.cacheHits.inc()
-	} else {
-		s.m.cacheMisses.inc()
-	}
-	if !cached && p.weight == nil {
-		cached = s.storeHas(p.g, p.seed)
-	}
-
+	defer s.leave(tnt)
+	it := &req.items[0]
 	start := time.Now()
 	var (
 		res envred.Result
 		err error
 	)
-	if p.algorithm == "AUTO" {
-		res, err = tnt.sess.AutoWith(ctx, p.g, envred.AutoOptions{Seed: p.seed})
+	if req.algorithm == "AUTO" {
+		res, err = tnt.sess.AutoWith(ctx, it.g, envred.AutoOptions{Seed: req.seed})
 	} else {
-		res, err = tnt.sess.Do(ctx, p.g, p.algorithm, envred.OrderRequest{Seed: p.seed, Weight: p.weight})
+		res, err = tnt.sess.Do(ctx, it.g, req.algorithm, envred.OrderRequest{Seed: req.seed, Weight: it.weight})
 	}
 	elapsed := time.Since(start)
 	s.m.orderSeconds.observe(elapsed.Seconds())
-
 	if err != nil {
-		aerr := orderError(err, res, p.g)
-		s.m.orders.inc(p.algorithm, statusLabel(aerr))
+		aerr := orderError(err, res, it.g)
+		s.m.orders.inc(req.algorithm, statusLabel(aerr))
 		return nil, aerr
 	}
+	return s.orderResult(req.algorithm, res, it, elapsed), nil
+}
+
+// orderResult counts one served ordering and builds its reply. elapsed is
+// the ordering's own time: measured around the Session call for a
+// singleton, the item's Result.Elapsed inside a batch.
+func (s *Server) orderResult(algorithm string, res envred.Result, it *item, elapsed time.Duration) *client.OrderResult {
+	s.m.orders.inc(algorithm, "ok")
 	spectral := res.Info != nil || res.Solve != nil ||
 		(res.Report != nil && res.Report.Eigensolves > 0)
-	if spectral && !cached {
+	if spectral && !it.cached {
 		s.m.eigenSeconds.observe(elapsed.Seconds())
 	}
-	s.m.orders.inc(p.algorithm, "ok")
-
-	resp := &orderResponse{
+	st := res.Stats
+	out := &client.OrderResult{
 		Algorithm: res.Algorithm,
-		N:         p.g.N(),
-		Nonzeros:  p.g.Nonzeros(),
+		N:         it.g.N(),
+		Nonzeros:  it.g.Nonzeros(),
 		Perm:      res.Perm,
-		Envelope:  envelopeOf(res.Stats),
+		Envelope: client.Envelope{Esize: st.Esize, Ework: st.Ework, Bandwidth: st.Bandwidth,
+			OneSum: st.OneSum, TwoSum: st.TwoSum, MaxFrontwidth: st.MaxFrontwidth},
 		Solve:     res.Solve,
-		Cached:    cached,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		Cached:    it.cached,
+		ElapsedMS: millis(elapsed),
 	}
 	if res.Info != nil {
-		resp.Lambda2 = res.Info.Lambda2
-		if resp.Solve == nil {
+		out.Lambda2 = res.Info.Lambda2
+		if out.Solve == nil {
 			solve := res.Info.Solve
-			resp.Solve = &solve
+			out.Solve = &solve
 		}
 	}
 	if res.Report != nil {
-		resp.Winners = res.Report.Wins
-		resp.Eigensolves = res.Report.Eigensolves
+		out.Winners = res.Report.Wins
+		out.Eigensolves = res.Report.Eigensolves
 	}
-	return resp, nil
+	return out
 }
 
 // storeHas reports whether the persistent store already holds the
@@ -440,27 +234,19 @@ func statusLabel(e *apiError) string {
 	}
 }
 
-// orderCtx applies the payload timeout on top of parent.
-func orderCtx(parent context.Context, p *orderPayload) (context.Context, context.CancelFunc) {
-	if p.timeout > 0 {
-		return context.WithTimeout(parent, p.timeout)
-	}
-	return context.WithCancel(parent)
-}
-
 // Handlers --------------------------------------------------------------------
 
 func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request, tnt *tenant) {
-	p, aerr := s.parseOrderPayload(w, r)
+	req, aerr := s.decodeRequest(w, r, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	ctx, cancel := orderCtx(r.Context(), p)
+	ctx, cancel := req.withTimeout(r.Context())
 	defer cancel()
-	resp, aerr := s.runOrder(ctx, tnt, p)
+	resp, aerr := s.runOrder(ctx, tnt, req)
 	if aerr != nil {
-		s.logf("order tenant=%s algorithm=%s n=%d status=%d err=%q", tnt.name, p.algorithm, p.g.N(), aerr.Status, aerr.Message)
+		s.logf("order tenant=%s algorithm=%s n=%d status=%d err=%q", tnt.name, req.algorithm, req.items[0].g.N(), aerr.Status, aerr.Message)
 		writeError(w, aerr)
 		return
 	}
@@ -470,17 +256,17 @@ func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request, tnt *tenant
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, tnt *tenant) {
-	p, aerr := s.parseOrderPayload(w, r)
+	req, aerr := s.decodeRequest(w, r, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	j := &job{id: newJobID(), tenant: tnt, payload: p, created: time.Now(), state: jobQueued}
+	j := &job{id: newJobID(), tenant: tnt, req: req, n: req.items[0].g.N(), created: time.Now(), state: jobQueued}
 	if aerr := s.submitJob(j); aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	s.logf("job %s submitted tenant=%s algorithm=%s n=%d", j.id, tnt.name, p.algorithm, p.g.N())
+	s.logf("job %s submitted tenant=%s algorithm=%s n=%d", j.id, tnt.name, req.algorithm, j.n)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -520,51 +306,26 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request, _ *ten
 	})
 }
 
-// fiedlerResponse is the /v1/fiedler reply.
-type fiedlerResponse struct {
-	N         int           `json:"n"`
-	Lambda2   float64       `json:"lambda2"`
-	Vector    []float64     `json:"vector"`
-	Solve     *solver.Stats `json:"solve,omitempty"`
-	Cached    bool          `json:"cached"`
-	ElapsedMS float64       `json:"elapsed_ms"`
-}
-
 func (s *Server) handleFiedler(w http.ResponseWriter, r *http.Request, tnt *tenant) {
-	p, aerr := s.parseOrderPayload(w, r)
+	req, aerr := s.decodeRequest(w, r, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	ctx, cancel := orderCtx(r.Context(), p)
+	// Session.Fiedler always runs with the session-default options, so the
+	// store probe uses the session seed whatever the request asked for.
+	req.seed = s.cfg.Seed
+	ctx, cancel := req.withTimeout(r.Context())
 	defer cancel()
-
-	s.m.inFlight.add(1)
-	defer s.m.inFlight.add(-1)
-	if aerr := acquire(ctx, tnt.sem); aerr != nil {
+	if aerr := s.admit(ctx, tnt, req); aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	defer release(tnt.sem)
-	if aerr := acquire(ctx, s.solveSem); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	defer release(s.solveSem)
+	defer s.leave(tnt)
 
-	g, cached := tnt.graphs.intern(p.g)
-	if cached {
-		s.m.cacheHits.inc()
-	} else {
-		s.m.cacheMisses.inc()
-	}
-	if !cached {
-		// Session.Fiedler always runs with the session-default options, so
-		// probe with the session seed (0 defaults to it inside storeHas).
-		cached = s.storeHas(g, 0)
-	}
+	it := &req.items[0]
 	start := time.Now()
-	vec, st, err := tnt.sess.Fiedler(ctx, g)
+	vec, st, err := tnt.sess.Fiedler(ctx, it.g)
 	elapsed := time.Since(start)
 	if err != nil {
 		var ec *envred.ErrCancelled
@@ -574,19 +335,19 @@ func (s *Server) handleFiedler(w http.ResponseWriter, r *http.Request, tnt *tena
 				Message: fmt.Sprintf("eigensolve interrupted: %v", err), BestSoFar: &best})
 			return
 		}
-		writeError(w, &apiError{Status: http.StatusBadRequest, Message: err.Error()})
+		writeError(w, badRequest("%v", err))
 		return
 	}
-	if !cached {
+	if !it.cached {
 		s.m.eigenSeconds.observe(elapsed.Seconds())
 	}
-	writeJSON(w, http.StatusOK, fiedlerResponse{
-		N:         g.N(),
+	writeJSON(w, http.StatusOK, &client.FiedlerResult{
+		N:         it.g.N(),
 		Lambda2:   st.Lambda,
 		Vector:    vec,
 		Solve:     &st,
-		Cached:    cached,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		Cached:    it.cached,
+		ElapsedMS: millis(elapsed),
 	})
 }
 

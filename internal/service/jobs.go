@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/client"
 	"repro/internal/pipeline"
 )
 
@@ -22,28 +23,31 @@ const (
 // job is one async ordering: submitted via POST /v1/jobs, executed on the
 // worker pool, polled until terminal.
 type job struct {
-	id      string
-	tenant  *tenant
-	payload *orderPayload
+	id     string
+	tenant *tenant
+	req    *request
+	// n is the vertex count for status documents, copied at submission
+	// because the worker re-points req's graph at the interned instance.
+	n       int
 	created time.Time
 
 	mu       sync.Mutex
 	state    string
 	started  time.Time
 	finished time.Time
-	resp     *orderResponse
+	resp     *client.OrderResult
 	fail     *apiError
 }
 
 // status snapshots the poll document under the job's lock.
-func (j *job) status() jobStatusJSON {
+func (j *job) status() client.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	doc := jobStatusJSON{
+	doc := client.JobStatus{
 		ID:        j.id,
 		Status:    j.state,
-		Algorithm: j.payload.algorithm,
-		N:         j.payload.g.N(),
+		Algorithm: j.req.algorithm,
+		N:         j.n,
 		CreatedMS: j.created.UnixMilli(),
 	}
 	if !j.started.IsZero() {
@@ -56,17 +60,6 @@ func (j *job) status() jobStatusJSON {
 		doc.Error = j.fail.Message
 	}
 	return doc
-}
-
-type jobStatusJSON struct {
-	ID         string `json:"id"`
-	Status     string `json:"status"`
-	Algorithm  string `json:"algorithm"`
-	N          int    `json:"n"`
-	CreatedMS  int64  `json:"created_unix_ms"`
-	StartedMS  int64  `json:"started_unix_ms,omitempty"`
-	FinishedMS int64  `json:"finished_unix_ms,omitempty"`
-	Error      string `json:"error,omitempty"`
 }
 
 // jobStore indexes jobs by id and evicts the oldest finished jobs beyond
@@ -155,7 +148,7 @@ func (s *Server) submitJob(j *job) *apiError {
 // guarded inside the Session) fails this job with a *pipeline.PanicError
 // instead of killing the drainer goroutine — the worker pool outlives any
 // misbehaving registered algorithm.
-func (s *Server) runJob(ctx context.Context, j *job) (resp *orderResponse, fail *apiError) {
+func (s *Server) runJob(ctx context.Context, j *job) (resp *client.OrderResult, fail *apiError) {
 	defer func() {
 		if p := recover(); p != nil {
 			err := pipeline.Recovered("job "+j.id, p)
@@ -163,7 +156,7 @@ func (s *Server) runJob(ctx context.Context, j *job) (resp *orderResponse, fail 
 			resp, fail = nil, &apiError{Status: http.StatusInternalServerError, Message: err.Error()}
 		}
 	}()
-	return s.runOrder(ctx, j.tenant, j.payload)
+	return s.runOrder(ctx, j.tenant, j.req)
 }
 
 // jobWorker drains the job queue until Shutdown closes it. Each job runs
@@ -179,10 +172,7 @@ func (s *Server) jobWorker() {
 		j.started = time.Now()
 		j.mu.Unlock()
 
-		ctx, cancel := s.baseCtx, context.CancelFunc(func() {})
-		if j.payload.timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, j.payload.timeout)
-		}
+		ctx, cancel := j.req.withTimeout(s.baseCtx)
 		resp, fail := s.runJob(ctx, j)
 		cancel()
 
@@ -199,6 +189,6 @@ func (s *Server) jobWorker() {
 		}
 		j.mu.Unlock()
 		s.jobs.markFinished(j)
-		s.logf("job %s finished state=%s tenant=%s algorithm=%s n=%d", j.id, j.state, j.tenant.name, j.payload.algorithm, j.payload.g.N())
+		s.logf("job %s finished state=%s tenant=%s algorithm=%s n=%d", j.id, j.state, j.tenant.name, j.req.algorithm, j.n)
 	}
 }

@@ -14,10 +14,14 @@
 //	GET  /readyz                readiness: store breaker state and counters
 //	GET  /metrics               Prometheus text exposition
 //
-// Graphs arrive either as a Matrix Market body (any non-JSON content
-// type; algorithm/seed/timeout in query parameters) or as a JSON document
-// carrying an adjacency list or inline Matrix Market text. See
-// parseOrderPayload for the exact wire format.
+// Every ordering endpoint (order, batch, jobs, fiedler) takes one request
+// path: decodeRequest reads the body and query, admit queues for the
+// tenant and solve-pool slots and interns the graphs, and replies are the
+// client package's exported types. Graphs arrive either as a Matrix Market
+// body (any non-JSON content type) or as a JSON document carrying an
+// adjacency list, inline Matrix Market text, or batch items; algorithm,
+// seed, timeout and workers come from the query wherever the body leaves
+// them zero. See decodeRequest for the exact wire format and its limits.
 //
 // A Server multiplexes any number of tenants: in open mode (no API keys
 // configured) every request shares one tenant; with Config.APIKeys set,

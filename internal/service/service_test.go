@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -224,6 +225,38 @@ func TestMalformedRequests400(t *testing.T) {
 				t.Fatalf("400 body should be a JSON error document, got %s", body)
 			}
 		})
+	}
+}
+
+// TestDeclaredVerticesBoundedByBody pins the decoder's allocation bound:
+// a short body may not declare more vertices than its length plus a fixed
+// allowance. Each of these ~100-byte requests declares 2³¹−1 vertices and
+// must get 413 before any graph is built.
+func TestDeclaredVerticesBoundedByBody(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{})
+	const mmHuge = "%%MatrixMarket matrix coordinate pattern symmetric\n2147483647 2147483647 0\n"
+	jsonHdr := map[string]string{"Content-Type": "application/json"}
+	cases := []struct {
+		name, url, body string
+		hdr             map[string]string
+	}{
+		{"matrix market body", "/v1/order?algorithm=rcm", mmHuge, nil},
+		{"json graph", "/v1/order", `{"algorithm":"rcm","graph":{"n":2147483647,"edges":[]}}`, jsonHdr},
+		{"batch graph item", "/v1/order/batch", `{"algorithm":"rcm","items":[{"graph":{"n":2147483647,"edges":[]}}]}`, jsonHdr},
+		{"batch matrix market item", "/v1/order/batch", `{"algorithm":"rcm","items":[{"matrix_market":"` +
+			strings.ReplaceAll(mmHuge, "\n", `\n`) + `"}]}`, jsonHdr},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, tc := range cases {
+		resp, body := postMM(t, ts.URL+tc.url, []byte(tc.body), tc.hdr)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %s", tc.name, resp.StatusCode, body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Fatalf("%d requests allocated %d bytes, want < 16 MiB", len(cases), grew)
 	}
 }
 
