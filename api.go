@@ -1,7 +1,6 @@
 package envred
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/chol"
@@ -83,49 +82,6 @@ var (
 
 // Orderings ------------------------------------------------------------------
 
-// Spectral computes the paper's Algorithm 1: sort the Fiedler vector in
-// both directions and keep the permutation with the smaller envelope.
-//
-// It is a thin shim over the lazily-initialized DefaultSession (byte-
-// identical output); context-first callers use Session.Order / Session.Do
-// with the SPECTRAL algorithm instead.
-func Spectral(g *Graph, opt SpectralOptions) (Perm, SpectralInfo, error) {
-	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Order
-	res, err := DefaultSession().do(context.Background(), g, AlgSpectral, OrderRequest{Seed: opt.Seed, Spectral: opt}, false)
-	return res.Perm, infoOf(res), err
-}
-
-// infoOf unpacks the spectral diagnostics of a Result for the historical
-// (Perm, SpectralInfo, error) return shape — populated even on error, as
-// core reports the work a failed solve burned.
-func infoOf(res Result) SpectralInfo {
-	if res.Info != nil {
-		return *res.Info
-	}
-	return SpectralInfo{}
-}
-
-// SpectralSloan runs the spectral ordering followed by Sloan-style local
-// refinement using the spectral positions as the global priority (the
-// hybrid the paper's §4 proposes as future work). Never worse in envelope
-// than Spectral.
-func SpectralSloan(g *Graph, opt SpectralOptions) (Perm, SpectralInfo, error) {
-	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Order
-	res, err := DefaultSession().do(context.Background(), g, AlgSpectralSloan, OrderRequest{Seed: opt.Seed, Spectral: opt}, false)
-	return res.Perm, infoOf(res), err
-}
-
-// WeightedSpectral is Algorithm 1 on the weighted Laplacian D_w − W with
-// weights |a_uv|: when matrix values are available (ReadMatrixMarketWeighted),
-// strongly coupled rows are placed adjacently. The weight function must be
-// symmetric and positive on edges.
-func WeightedSpectral(g *Graph, weight func(u, v int) float64, opt SpectralOptions) (Perm, SpectralInfo, error) {
-	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Order
-	res, err := DefaultSession().do(context.Background(), g, AlgWeighted,
-		OrderRequest{Seed: opt.Seed, Spectral: opt, Weight: weight}, false)
-	return res.Perm, infoOf(res), err
-}
-
 // Classical orderings benchmarked by the paper, plus King and Sloan.
 var (
 	RCM          = order.RCM
@@ -138,15 +94,15 @@ var (
 
 // Portfolio engine ------------------------------------------------------------
 
-// AutoOptions configures the parallel portfolio ordering engine: the
-// algorithm portfolio raced per connected component, the worker-pool width,
-// the seed, an optional time budget, and an optional context for
-// cancellation.
+// AutoOptions configures the parallel portfolio ordering engine behind
+// Session.AutoWith: the algorithm portfolio raced per connected component,
+// the worker-pool width, the seed, eigensolver options, optional edge
+// weights and an optional time budget.
 type AutoOptions = pipeline.Options
 
-// AutoReport describes an Auto run: the winning algorithm and the losing
-// candidates per component, win counts per algorithm, and the envelope
-// parameters of the stitched ordering.
+// AutoReport describes a Session.Auto run: the winning algorithm and the
+// losing candidates per component, win counts per algorithm, and the
+// envelope parameters of the stitched ordering.
 type AutoReport = pipeline.Report
 
 // Canonical names of the built-in ordering algorithms — valid in
@@ -164,51 +120,14 @@ const (
 	AlgWeighted      = pipeline.AlgWeighted
 )
 
-// DefaultPortfolio returns the default Auto contender set.
+// DefaultPortfolio returns the default Session.Auto contender set.
 func DefaultPortfolio() []string { return pipeline.DefaultPortfolio() }
-
-// Auto splits g into connected components, orders every component
-// concurrently while racing a portfolio of ordering algorithms, keeps the
-// candidate with the smallest envelope per component (ties: bandwidth, then
-// work), and stitches the winners into one global permutation. The result
-// is deterministic for a fixed seed regardless of AutoOptions.Parallelism,
-// unless a Budget is set: budget expiry skips unstarted candidates and
-// cancels in-flight ones by wall clock, so budgeted runs trade determinism
-// for latency (the first portfolio entry always runs to completion, so the
-// result stays valid).
-//
-// Prefer Auto over Spectral when the input may be disconnected, when no
-// single algorithm is known to dominate on the workload, or when spare
-// cores are available to hide the portfolio's cost.
-//
-// Auto is a thin shim over the lazily-initialized DefaultSession (byte-
-// identical output, plus the session's cross-call artifact cache);
-// context-first callers use Session.Auto / Session.AutoWith.
-func Auto(g *Graph, opt AutoOptions) (Perm, AutoReport, error) {
-	res, err := DefaultSession().AutoWith(opt.Context, g, opt)
-	rep := AutoReport{}
-	if res.Report != nil {
-		rep = *res.Report
-	}
-	return res.Perm, rep, err
-}
 
 // Identity returns the identity ordering (the matrix as given).
 func Identity(n int) Perm { return perm.Identity(n) }
 
 // RandomPerm returns a seeded uniformly random ordering.
 func RandomPerm(n int, seed int64) Perm { return perm.Random(n, seed) }
-
-// Fiedler computes the Fiedler vector and value (λ2) of a connected graph
-// using the solver selected by opt (Lanczos or multilevel). It is a shim
-// over the DefaultSession: repeated calls on the same graph are served
-// from the session's artifact cache. Context-first callers use
-// Session.Fiedler.
-func Fiedler(g *Graph, opt SpectralOptions) (vec []float64, lambda2 float64, err error) {
-	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Fiedler
-	x, st, err := DefaultSession().fiedler(context.Background(), g, opt)
-	return x, st.Lambda, err
-}
 
 // MultilevelOptions configures the §3 multilevel eigensolver when used
 // through SpectralOptions.Multilevel.
@@ -316,7 +235,7 @@ func PCG(A *SparseMatrix, pre *IC0Factor, b, x []float64, opt PCGOptions) PCGRes
 func ReadMatrixMarket(r io.Reader) (*Graph, error) { return mm.ReadGraph(r) }
 
 // ReadMatrixMarketWeighted additionally keeps entry magnitudes, returning
-// a symmetric positive weight function for WeightedSpectral.
+// a symmetric positive weight function for Session.OrderWeighted.
 func ReadMatrixMarketWeighted(r io.Reader) (*Graph, func(u, v int) float64, error) {
 	return mm.ReadWeighted(r)
 }

@@ -1,6 +1,7 @@
 package envred_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -51,15 +52,16 @@ func TestWeightedSpectralPublicPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, info, err := envred.WeightedSpectral(g, w, envred.SpectralOptions{Seed: 1})
+	res, err := envred.NewSession(envred.SessionOptions{Seed: 1}).OrderWeighted(context.Background(), g, envred.AlgWeighted, w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := res.Perm
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if info.Lambda2 <= 0 {
-		t.Fatalf("λ2 = %v", info.Lambda2)
+	if res.Info.Lambda2 <= 0 {
+		t.Fatalf("λ2 = %v", res.Info.Lambda2)
 	}
 	// The weak middle link means the two triples {0,1,2} and {3,4,5} are
 	// each strongly coupled: each must be contiguous in the ordering.
@@ -114,15 +116,16 @@ func TestPCGPublicPath(t *testing.T) {
 
 func TestSpectralSloanPublic(t *testing.T) {
 	g := envred.RandomGraph(120, 260, 3)
-	ph, _, err := envred.SpectralSloan(g, envred.SpectralOptions{Seed: 3})
+	sess := envred.NewSession(envred.SessionOptions{Seed: 3})
+	ph, err := sess.Order(context.Background(), g, envred.AlgSpectralSloan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, _, err := envred.Spectral(g, envred.SpectralOptions{Seed: 3})
+	ps, err := sess.Order(context.Background(), g, envred.AlgSpectral)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if envred.Esize(g, ph) > envred.Esize(g, ps) {
+	if envred.Esize(g, ph.Perm) > envred.Esize(g, ps.Perm) {
 		t.Fatal("hybrid worse than plain spectral")
 	}
 }

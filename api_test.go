@@ -2,6 +2,7 @@ package envred_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,10 +12,11 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	g := envred.Grid(20, 10)
-	p, info, err := envred.Spectral(g, envred.SpectralOptions{})
+	res, err := envred.NewSession(envred.SessionOptions{}).Order(context.Background(), g, envred.AlgSpectral)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := res.Perm
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +25,8 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	want := 4 * math.Pow(math.Sin(math.Pi/40), 2)
-	if math.Abs(info.Lambda2-want) > 1e-4 {
-		t.Fatalf("λ2 = %v, want %v", info.Lambda2, want)
+	if math.Abs(res.Info.Lambda2-want) > 1e-4 {
+		t.Fatalf("λ2 = %v, want %v", res.Info.Lambda2, want)
 	}
 }
 
@@ -43,10 +45,11 @@ func TestAllPublicOrderings(t *testing.T) {
 
 func TestEndToEndSolve(t *testing.T) {
 	g := envred.Grid9(15, 15)
-	p, _, err := envred.Spectral(g, envred.SpectralOptions{})
+	res, err := envred.NewSession(envred.SessionOptions{}).Order(context.Background(), g, envred.AlgSpectral)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := res.Perm
 	m, err := envred.NewEnvelopeMatrix(g, p, envred.LaplacianPlusIdentity(g))
 	if err != nil {
 		t.Fatal(err)
@@ -118,13 +121,15 @@ func TestProblemsPublic(t *testing.T) {
 
 func TestEnvelopeBoundsPublic(t *testing.T) {
 	g := envred.Grid(12, 12)
-	_, lambda2, err := envred.Fiedler(g, envred.SpectralOptions{})
+	ctx := context.Background()
+	sess := envred.NewSession(envred.SessionOptions{})
+	_, solve, err := sess.Fiedler(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := envred.EnvelopeBounds(g.N(), g.MaxDegree(), lambda2, envred.GershgorinBound(g))
-	p, _, _ := envred.Spectral(g, envred.SpectralOptions{})
-	es := float64(envred.Esize(g, p))
+	b := envred.EnvelopeBounds(g.N(), g.MaxDegree(), solve.Lambda, envred.GershgorinBound(g))
+	res, _ := sess.Order(ctx, g, envred.AlgSpectral)
+	es := float64(envred.Esize(g, res.Perm))
 	if es < b.EsizeLower {
 		t.Fatalf("achieved envelope %v below the λ2 lower bound %v", es, b.EsizeLower)
 	}

@@ -134,12 +134,12 @@ func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
 	// Generic path: exactly Session.Do with the batch's options — cold
 	// artifacts, disconnected graphs, non-SPECTRAL algorithms and failed
 	// solves all land here and stay bit-for-bit Do-identical.
-	res, err := b.s.do(b.ctx, g, b.name, OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws}, true)
+	res, err := b.s.Do(b.ctx, g, b.name, OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws})
 	slot.Result, slot.Err = res, err
 }
 
 // ItemPanicked implements pipeline.BatchPanicHandler: a panic while
-// running item i (outside the orderer call, which Session.do already
+// running item i (outside the orderer call, which Session.Do already
 // guards) becomes that item's error, leaving the other items and the
 // persistent pool workers untouched.
 func (b *orderBatch) ItemPanicked(i int, err error) {
@@ -153,7 +153,7 @@ func (b *orderBatch) ItemPanicked(i int, err error) {
 // (SpectralStats) instead of a fresh O(n+nnz) scan per request. The
 // memoized ordering was validated when it entered the memo (fresh solves
 // by construction, store hits by the tier-2 probe's Check), so the
-// defensive re-validation Session.do applies to arbitrary registered
+// defensive re-validation Session.Do applies to arbitrary registered
 // orderers is not repeated per item. Returns false — leaving the slot
 // untouched — when the memoized solve errored, deferring to the generic
 // path for the exact Do error shape.

@@ -149,11 +149,35 @@ func BenchmarkTable44(b *testing.B) {
 	}
 }
 
+// benchSession returns a cache-less Session seeded with benchSeed: every
+// call on it pays for its own eigensolves, so a timed loop measures the
+// solves instead of artifact-cache hits after the first iteration.
+func benchSession(opt envred.SessionOptions) *envred.Session {
+	opt.Seed, opt.CacheGraphs = benchSeed, -1
+	return envred.NewSession(opt)
+}
+
+// benchOrder times one registered algorithm on g under the given
+// eigensolver options through one cache-less Session, reporting the
+// envelope as a metric.
+func benchOrder(b *testing.B, g *graph.Graph, alg string, opt envred.SpectralOptions) {
+	sess := benchSession(envred.SessionOptions{Spectral: opt})
+	var es int64
+	for i := 0; i < b.N; i++ {
+		res, err := sess.Order(context.Background(), g, alg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		es = res.Stats.Esize
+	}
+	b.ReportMetric(float64(es), "envelope")
+}
+
 // figureOrderings mirrors Figures 4.1–4.5: the BARTH4 matrix under the
 // original, GPS, GK, RCM and SPECTRAL orderings.
 func figureOrderings(b *testing.B, g *graph.Graph) map[string]perm.Perm {
 	b.Helper()
-	spectral, _, err := envred.Spectral(g, envred.SpectralOptions{Seed: benchSeed})
+	spectral, err := benchSession(envred.SessionOptions{}).Order(context.Background(), g, envred.AlgSpectral)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -162,7 +186,7 @@ func figureOrderings(b *testing.B, g *graph.Graph) map[string]perm.Perm {
 		"Fig4.2_GPS":      envred.GPS(g),
 		"Fig4.3_GK":       envred.GK(g),
 		"Fig4.4_RCM":      envred.RCM(g),
-		"Fig4.5_SPECTRAL": spectral,
+		"Fig4.5_SPECTRAL": spectral.Perm,
 	}
 }
 
@@ -197,15 +221,7 @@ func BenchmarkAblationEigensolver(b *testing.B) {
 		{"Multilevel", envred.MethodMultilevel},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			var es int64
-			for i := 0; i < b.N; i++ {
-				o, _, err := envred.Spectral(p.G, envred.SpectralOptions{Method: m.method, Seed: benchSeed})
-				if err != nil {
-					b.Fatal(err)
-				}
-				es = envred.Esize(p.G, o)
-			}
-			b.ReportMetric(float64(es), "envelope")
+			benchOrder(b, p.G, envred.AlgSpectral, envred.SpectralOptions{Method: m.method})
 		})
 	}
 }
@@ -218,19 +234,10 @@ func BenchmarkAblationCoarsestSize(b *testing.B) {
 	p := benchProblem(b, "BODY")
 	for _, size := range []int{25, 100, 400, 1600} {
 		b.Run(fmt.Sprintf("coarsest%d", size), func(b *testing.B) {
-			var es int64
-			for i := 0; i < b.N; i++ {
-				o, _, err := envred.Spectral(p.G, envred.SpectralOptions{
-					Method:     envred.MethodMultilevel,
-					Multilevel: envred.MultilevelOptions{CoarsestSize: size},
-					Seed:       benchSeed,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				es = envred.Esize(p.G, o)
-			}
-			b.ReportMetric(float64(es), "envelope")
+			benchOrder(b, p.G, envred.AlgSpectral, envred.SpectralOptions{
+				Method:     envred.MethodMultilevel,
+				Multilevel: envred.MultilevelOptions{CoarsestSize: size},
+			})
 		})
 	}
 }
@@ -242,19 +249,10 @@ func BenchmarkAblationSmoothing(b *testing.B) {
 	p := benchProblem(b, "PWT")
 	for _, steps := range []int{1, 3, 8} {
 		b.Run(fmt.Sprintf("smooth%d", steps), func(b *testing.B) {
-			var es int64
-			for i := 0; i < b.N; i++ {
-				o, _, err := envred.Spectral(p.G, envred.SpectralOptions{
-					Method:     envred.MethodMultilevel,
-					Multilevel: envred.MultilevelOptions{SmoothSteps: steps},
-					Seed:       benchSeed,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				es = envred.Esize(p.G, o)
-			}
-			b.ReportMetric(float64(es), "envelope")
+			benchOrder(b, p.G, envred.AlgSpectral, envred.SpectralOptions{
+				Method:     envred.MethodMultilevel,
+				Multilevel: envred.MultilevelOptions{SmoothSteps: steps},
+			})
 		})
 	}
 }
@@ -277,14 +275,14 @@ func BenchmarkAutoPortfolio(b *testing.B) {
 			{"Auto/parallel", 0}, // 0 = GOMAXPROCS
 		} {
 			b.Run(fmt.Sprintf("%s/%s", prob, pool.name), func(b *testing.B) {
+				sess := benchSession(envred.SessionOptions{Parallelism: pool.workers})
 				var es int64
 				for i := 0; i < b.N; i++ {
-					o, rep, err := envred.Auto(p.G, envred.AutoOptions{Seed: benchSeed, Parallelism: pool.workers})
+					res, err := sess.Auto(context.Background(), p.G)
 					if err != nil {
 						b.Fatal(err)
 					}
-					_ = rep
-					es = envred.Esize(p.G, o)
+					es = res.Stats.Esize
 				}
 				b.ReportMetric(float64(es), "envelope")
 			})
@@ -310,33 +308,14 @@ func BenchmarkAutoPortfolio(b *testing.B) {
 }
 
 // BenchmarkAblationHybrid measures the spectral–Sloan refinement benefit.
+// Each row solves its own eigenproblem: the hybrid's time includes the
+// spectral solve it refines.
 func BenchmarkAblationHybrid(b *testing.B) {
 	p := benchProblem(b, "BARTH4")
-	for _, m := range []struct {
-		name string
-		f    func(*graph.Graph) (perm.Perm, int64)
-	}{
-		{"SpectralOnly", func(g *graph.Graph) (perm.Perm, int64) {
-			o, _, err := envred.Spectral(g, envred.SpectralOptions{Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return o, envred.Esize(g, o)
-		}},
-		{"SpectralSloan", func(g *graph.Graph) (perm.Perm, int64) {
-			o, _, err := envred.SpectralSloan(g, envred.SpectralOptions{Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return o, envred.Esize(g, o)
-		}},
+	for _, m := range []struct{ name, alg string }{
+		{"SpectralOnly", envred.AlgSpectral},
+		{"SpectralSloan", envred.AlgSpectralSloan},
 	} {
-		b.Run(m.name, func(b *testing.B) {
-			var es int64
-			for i := 0; i < b.N; i++ {
-				_, es = m.f(p.G)
-			}
-			b.ReportMetric(float64(es), "envelope")
-		})
+		b.Run(m.name, func(b *testing.B) { benchOrder(b, p.G, m.alg, envred.SpectralOptions{}) })
 	}
 }

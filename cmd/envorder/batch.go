@@ -77,26 +77,15 @@ func runBatch(files []string, method string, seed int64, budget time.Duration, s
 				Nonzeros:  item.Nonzeros,
 				Algorithm: item.Algorithm,
 				Seconds:   item.ElapsedMS / 1000,
-				Envelope: envelope.Stats{
-					Esize:         item.Envelope.Esize,
-					Ework:         item.Envelope.Ework,
-					Bandwidth:     item.Envelope.Bandwidth,
-					OneSum:        item.Envelope.OneSum,
-					TwoSum:        item.Envelope.TwoSum,
-					MaxFrontwidth: item.Envelope.MaxFrontwidth,
-				},
+				Envelope:  envelope.Stats(item.Envelope),
 			})
 		}
 	} else {
 		opts := envred.SessionOptions{Seed: seed, CacheGraphs: len(graphs)}
 		var resil *envred.ResilientStore
 		if storeURL != "" {
-			st, err := envred.OpenStore(storeURL)
-			if err != nil {
-				log.Fatalf("opening -store %s: %v", storeURL, err)
-			}
-			defer st.Close()
-			resil = envred.NewResilientStore(st, envred.ResilienceOptions{})
+			resil = openStore(storeURL)
+			defer resil.Close()
 			opts.Store = resil
 		}
 		sess := envred.NewSession(opts)

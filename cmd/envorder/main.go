@@ -214,31 +214,14 @@ func main() {
 	var counted *envred.CountedStore
 	var resil *envred.ResilientStore
 	if *storeURL != "" {
-		st, err := envred.OpenStore(*storeURL)
-		if err != nil {
-			log.Fatalf("opening -store %s: %v", *storeURL, err)
-		}
-		defer st.Close()
-		// Default resilience: a flaky store degrades the run to cache-cold
-		// solving (warned below) instead of failing or stalling it.
-		resil = envred.NewResilientStore(st, envred.ResilienceOptions{})
+		resil = openStore(*storeURL)
+		defer resil.Close()
 		counted = envred.NewCountedStore(resil, nil)
 	}
 
 	solvesBefore := core.EigensolveCount()
 	start := time.Now()
-	var p perm.Perm
-	var info *envred.SpectralInfo
-	var report *envred.AutoReport
-	if weight != nil && (strings.EqualFold(*method, "spectral") || strings.EqualFold(*method, "weighted")) {
-		wp, winfo, err := envred.WeightedSpectral(g, weight, envred.SpectralOptions{Seed: *seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-		p, info = wp, &winfo
-	} else {
-		p, info, report = computeOrdering(g, *method, *seed, *parallel, *budget, *portfolio, counted)
-	}
+	p, info, report := computeOrdering(g, weight, *method, *seed, *parallel, *budget, *portfolio, counted)
 	elapsed := time.Since(start)
 	solves := core.EigensolveCount() - solvesBefore
 
@@ -333,14 +316,7 @@ func runRemote(g *graph.Graph, name, baseURL, apiKey, method string, seed int64,
 	if err := p.Check(); err != nil {
 		log.Fatalf("daemon returned an invalid permutation: %v", err)
 	}
-	s := envelope.Stats{
-		Esize:         res.Envelope.Esize,
-		Ework:         res.Envelope.Ework,
-		Bandwidth:     res.Envelope.Bandwidth,
-		OneSum:        res.Envelope.OneSum,
-		TwoSum:        res.Envelope.TwoSum,
-		MaxFrontwidth: res.Envelope.MaxFrontwidth,
-	}
+	s := envelope.Stats(res.Envelope)
 	if strings.EqualFold(stats, "json") {
 		if err := writeStatsJSON(os.Stdout, name+" (remote)", g, res.Algorithm,
 			time.Duration(res.ElapsedMS*float64(time.Millisecond)), s, nil, nil, 0, nil, nil); err != nil {
@@ -405,9 +381,10 @@ func loadGraph(mmFile, problem, grid string, scale float64, seed int64) (*graph.
 // computeOrdering resolves the method against the ordering-service
 // registry through a Session: auto/identity/random are driver specials,
 // hybrid aliases SPECTRAL+SLOAN, and every other name — built-in or
-// user-registered — dispatches via Session.Order. Unknown names list the
-// valid ones.
-func computeOrdering(g *graph.Graph, alg string, seed int64, parallel int, budget time.Duration, portfolio string, st *envred.CountedStore) (perm.Perm, *envred.SpectralInfo, *envred.AutoReport) {
+// user-registered — dispatches via Session.OrderWeighted. A non-nil weight
+// (-weighted, accepted only with -method spectral/weighted) selects the
+// WEIGHTED algorithm. Unknown names list the valid ones.
+func computeOrdering(g *graph.Graph, weight func(u, v int) float64, alg string, seed int64, parallel int, budget time.Duration, portfolio string, st *envred.CountedStore) (perm.Perm, *envred.SpectralInfo, *envred.AutoReport) {
 	ctx := context.Background()
 	opts := envred.SessionOptions{Seed: seed, Parallelism: parallel, Budget: budget}
 	if st != nil {
@@ -434,15 +411,30 @@ func computeOrdering(g *graph.Graph, alg string, seed int64, parallel int, budge
 	case "random":
 		return perm.Random(g.N(), seed), nil, nil
 	}
+	if weight != nil {
+		alg = envred.AlgWeighted
+	}
 	if _, ok := envred.Lookup(alg); !ok {
 		log.Fatalf("unknown algorithm %q (registered: %s; driver methods: auto, identity, random, hybrid)",
 			alg, strings.Join(envred.Algorithms(), ", "))
 	}
-	res, err := sess.Order(ctx, g, alg)
+	res, err := sess.OrderWeighted(ctx, g, alg, weight)
 	if err != nil {
 		log.Fatal(err)
 	}
 	return res.Perm, res.Info, nil
+}
+
+// openStore opens the -store URL behind the default resilience layer: a
+// flaky store degrades the run to cache-cold solving (warned by
+// warnDegradedStore) instead of failing or stalling it. The caller closes
+// the returned store, which closes the backend.
+func openStore(url string) *envred.ResilientStore {
+	st, err := envred.OpenStore(url)
+	if err != nil {
+		log.Fatalf("opening -store %s: %v", url, err)
+	}
+	return envred.NewResilientStore(st, envred.ResilienceOptions{})
 }
 
 // runStats is the -stats json document: one self-contained record per run,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -95,11 +96,11 @@ func ordering(g *graph.Graph, alg string, seed int64) perm.Perm {
 	case "random":
 		return perm.Random(g.N(), seed)
 	case "spectral":
-		p, _, err := envred.Spectral(g, envred.SpectralOptions{Seed: seed})
+		res, err := envred.NewSession(envred.SessionOptions{Seed: seed}).Order(context.Background(), g, envred.AlgSpectral)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return p
+		return res.Perm
 	case "rcm":
 		return envred.RCM(g)
 	case "gps":

@@ -41,10 +41,10 @@
 // # Quick start
 //
 //	g := envred.Grid(40, 30)                       // a 5-point mesh
-//	p, info, err := envred.Spectral(g, envred.SpectralOptions{})
+//	sess := envred.NewSession(envred.SessionOptions{})
+//	res, err := sess.Order(ctx, g, envred.AlgSpectral)
 //	if err != nil { ... }
-//	s := envred.Stats(g, p)
-//	fmt.Println(s.Esize, s.Bandwidth, info.Lambda2)
+//	fmt.Println(res.Stats.Esize, res.Stats.Bandwidth, res.Info.Lambda2)
 //
 // # The ordering service: Session and the Orderer registry
 //
@@ -82,10 +82,12 @@
 // its BatchResult. The worker pools behind all three survive and keep
 // serving subsequent calls.
 //
-// The historical one-shot functions (Spectral, SpectralSloan,
-// WeightedSpectral, Auto, Fiedler, RCM, ...) remain as thin shims over a
-// lazily-initialized DefaultSession and stay byte-identical to their
-// pre-Session outputs (pinned by the shim-equivalence golden test).
+// Session is the only entry point to the spectral orderings and the
+// portfolio engine. The stateless classical orderings (RCM, GPS, GK, King,
+// Sloan, CuthillMcKee) are plain functions, byte-identical to
+// Session.Order with the same algorithm (pinned by the session-equivalence
+// golden test). Build a Session with SessionOptions{CacheGraphs: -1} for
+// strictly stateless use.
 //
 // # Batch ordering
 //
@@ -150,15 +152,15 @@
 //
 // # Choosing an ordering
 //
-// Spectral is the paper's algorithm and the right default on a single
-// large connected mesh. Prefer Auto when the input may be disconnected,
-// when no single algorithm is known to dominate the workload (the
-// portfolio's winner varies by component topology), or when spare cores
-// can hide the cost of racing the portfolio:
+// SPECTRAL is the paper's algorithm and the right default on a single
+// large connected mesh. Prefer Session.Auto when the input may be
+// disconnected, when no single algorithm is known to dominate the
+// workload (the portfolio's winner varies by component topology), or when
+// spare cores can hide the cost of racing the portfolio:
 //
-//	p, rep, err := envred.Auto(g, envred.AutoOptions{Seed: 1})
+//	res, err := sess.AutoWith(ctx, g, envred.AutoOptions{Seed: 1})
 //	if err != nil { ... }
-//	fmt.Println(rep.Stats.Esize, rep.Wins)         // per-algorithm wins
+//	fmt.Println(res.Stats.Esize, res.Report.Wins)  // per-algorithm wins
 //
 // Auto's envelope is never worse than the best portfolio member's on any
 // component, and its result is byte-identical for a fixed seed regardless

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -22,18 +23,19 @@ func main() {
 	fmt.Printf("power network: n = %d buses, nnz = %d\n\n", g.N(), g.Nonzeros())
 
 	// Reorder with the spectral-Sloan hybrid (best envelope) vs RCM.
-	hybrid, _, err := envred.SpectralSloan(g, envred.SpectralOptions{Seed: 9})
+	sess := envred.NewSession(envred.SessionOptions{Seed: 9})
+	hybrid, err := sess.Order(context.Background(), g, envred.AlgSpectralSloan)
 	if err != nil {
 		log.Fatal(err)
 	}
 	rcm := envred.RCM(g)
 	fmt.Printf("envelope: hybrid %d vs RCM %d\n\n",
-		envred.Esize(g, hybrid), envred.Esize(g, rcm))
+		hybrid.Stats.Esize, envred.Esize(g, rcm))
 
 	// Assemble the system: a weighted-Laplacian-like SPD "admittance"
 	// matrix Y = L + I (shunt terms on the diagonal keep it definite), and
 	// an injection vector with one source and one sink.
-	m, err := envred.NewEnvelopeMatrix(g, hybrid, envred.LaplacianPlusIdentity(g))
+	m, err := envred.NewEnvelopeMatrix(g, hybrid.Perm, envred.LaplacianPlusIdentity(g))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -30,7 +31,7 @@ func main() {
 		b[i] = rng.NormFloat64()
 	}
 
-	spectral, _, err := envred.Spectral(g, envred.SpectralOptions{Seed: 5})
+	spectral, err := envred.NewSession(envred.SessionOptions{Seed: 5}).Order(context.Background(), g, envred.AlgSpectral)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 		{"original", envred.Identity(g.N())},
 		{"RCM", envred.RCM(g)},
 		{"GK", envred.GK(g)},
-		{"SPECTRAL", spectral},
+		{"SPECTRAL", spectral.Perm},
 	}
 
 	fmt.Printf("%-10s %14s %12s\n", "ordering", "PCG iterations", "residual")

@@ -18,11 +18,10 @@ func main() {
 	g := envred.Grid(30, 12)
 	fmt.Printf("matrix: n = %d, lower-triangle nonzeros = %d\n\n", g.N(), g.Nonzeros())
 
-	// A Session is the context-first front door: it owns the scratch pools
-	// and a per-graph artifact cache, so repeated calls on the same graph
-	// (like the loop below) reuse decomposition and eigensolve work. The
-	// one-shot convenience shims (envred.Spectral, envred.Auto, ...) remain
-	// and delegate to a shared default Session.
+	// A Session is the one way into the spectral orderings: it owns the
+	// scratch pools and a per-graph artifact cache, so repeated calls on
+	// the same graph (like the loop below) reuse decomposition and
+	// eigensolve work. SessionOptions{CacheGraphs: -1} makes it stateless.
 	ctx := context.Background()
 	sess := envred.NewSession(envred.SessionOptions{Seed: 1})
 

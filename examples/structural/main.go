@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -24,14 +25,15 @@ func main() {
 	fmt.Printf("%s stand-in: n = %d, nnz = %d (paper: n = %d, nnz = %d)\n\n",
 		p.Name, g.N(), g.Nonzeros(), p.PaperN, p.PaperNNZ)
 
+	sess := envred.NewSession(envred.SessionOptions{Seed: 42})
 	type contender struct {
 		name string
 		f    func() (envred.Perm, error)
 	}
 	contenders := []contender{
 		{"SPECTRAL", func() (envred.Perm, error) {
-			o, _, err := envred.Spectral(g, envred.SpectralOptions{Seed: 42})
-			return o, err
+			res, err := sess.Order(context.Background(), g, envred.AlgSpectral)
+			return res.Perm, err
 		}},
 		{"GK", func() (envred.Perm, error) { return envred.GK(g), nil }},
 		{"GPS", func() (envred.Perm, error) { return envred.GPS(g), nil }},

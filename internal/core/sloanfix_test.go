@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/envelope"
 	"repro/internal/graph"
 	"repro/internal/perm"
+	"repro/internal/scratch"
 )
 
 // disconnectedFixture builds a graph with three nontrivial components (two
@@ -54,8 +56,9 @@ func TestSpectralSloanEigensolvesOncePerComponent(t *testing.T) {
 		return solves, info, p
 	}
 
-	spectralSolves, spectralInfo, _ := countSolves(func() (perm.Perm, Info, error) { return Spectral(g, opt) })
-	sloanSolves, sloanInfo, p := countSolves(func() (perm.Perm, Info, error) { return SpectralSloan(g, opt) })
+	ctx, ws := context.Background(), scratch.New()
+	spectralSolves, spectralInfo, _ := countSolves(func() (perm.Perm, Info, error) { return SpectralWS(ctx, ws, g, opt) })
+	sloanSolves, sloanInfo, p := countSolves(func() (perm.Perm, Info, error) { return SpectralSloanWS(ctx, ws, g, opt) })
 
 	// Three components have n > 1 (grids and the path) plus the edge pair;
 	// the singleton takes the n==1 fast path with no solve.
@@ -84,11 +87,11 @@ func TestSpectralSloanEigensolvesOncePerComponent(t *testing.T) {
 func TestSpectralSloanDisconnectedQuality(t *testing.T) {
 	g := disconnectedFixture()
 	opt := Options{Seed: 3}
-	ps, _, err := Spectral(g, opt)
+	ps, _, err := SpectralWS(context.Background(), scratch.New(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, _, err := SpectralSloan(g, opt)
+	ph, _, err := SpectralSloanWS(context.Background(), scratch.New(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestSpectralSloanDisconnectedQuality(t *testing.T) {
 func TestSpectralSliceMatchesComponentRun(t *testing.T) {
 	g := disconnectedFixture()
 	opt := Options{Seed: 5}
-	global, _, err := Spectral(g, opt)
+	global, _, err := SpectralWS(context.Background(), scratch.New(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestSpectralSliceMatchesComponentRun(t *testing.T) {
 		seg := global[off : off+len(comp)]
 		off += len(comp)
 		sub, old := g.Subgraph(comp)
-		local, _, err := Spectral(sub, opt)
+		local, _, err := SpectralWS(context.Background(), scratch.New(), sub, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

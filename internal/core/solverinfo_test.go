@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/lanczos"
 	"repro/internal/multilevel"
+	"repro/internal/scratch"
 	"repro/internal/solver"
 )
 
@@ -13,7 +15,7 @@ import (
 // criterion closing the "multilevel contributes 0" gap.
 func TestMultilevelMatVecsInstrumented(t *testing.T) {
 	g := graph.Grid(30, 30)
-	_, info, err := Spectral(g, Options{Method: MethodMultilevel, Multilevel: multilevel.Options{CoarsestSize: 60}})
+	_, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel, Multilevel: multilevel.Options{CoarsestSize: 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +45,14 @@ func TestMultilevelMatVecsInstrumented(t *testing.T) {
 // unchanged when the field is zero.
 func TestAutoThresholdConfigurable(t *testing.T) {
 	g := graph.Grid(25, 20) // n = 500 < default 2000
-	_, info, err := Spectral(g, Options{})
+	_, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Multilevel {
 		t.Fatal("default threshold sent a 500-vertex graph to the multilevel solver")
 	}
-	_, info, err = Spectral(g, Options{AutoThreshold: 100})
+	_, info, err = SpectralWS(context.Background(), scratch.New(), g, Options{AutoThreshold: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestPartialConvergencePropagatesToInfo(t *testing.T) {
 	opt := Options{Method: MethodMultilevel}
 	opt.Multilevel.CoarsestSize = 200
 	opt.Multilevel.Lanczos = lanczos.Options{MaxBasis: 3, MaxRestarts: 1, Tol: 1e-14}
-	p, info, err := Spectral(g, opt)
+	p, info, err := SpectralWS(context.Background(), scratch.New(), g, opt)
 	if err != nil {
 		t.Fatalf("partial convergence must not be a hard error: %v", err)
 	}
@@ -89,7 +91,7 @@ func TestPartialConvergencePropagatesToInfo(t *testing.T) {
 // while the estimates stay the largest component's.
 func TestInfoAggregatesAcrossComponents(t *testing.T) {
 	g := disconnectedFixture()
-	_, info, err := Spectral(g, Options{Seed: 7})
+	_, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ type Options struct {
 	// selected scheme's finest level. The pipeline's per-component artifact
 	// cache uses it to share one operator — with its persistent-pool worker
 	// partition — across a component's spectral candidates. Leave nil for
-	// whole-graph calls: Spectral's per-component dispatch builds its own.
+	// whole-graph calls: SpectralWS's per-component dispatch builds its own.
 	Operator laplacian.Interface
 }
 
@@ -79,8 +79,8 @@ func (o Options) threshold() int {
 
 // Solver resolves the eigensolver Options select for an n-vertex connected
 // component, with seeds defaulted from Options.Seed. This is the single
-// construction point of the unified solver engine: Spectral, the pipeline's
-// artifact cache and the ablation benchmarks all go through it.
+// construction point of the unified solver engine: SpectralWS, the
+// pipeline's artifact cache and the ablation benchmarks all go through it.
 func (o Options) Solver(n int) solver.Solver {
 	useML := false
 	switch o.Method {
@@ -124,7 +124,7 @@ type Info struct {
 	Components int
 	// MatVecs counts Laplacian applications across every eigensolve of the
 	// run, all components and both schemes included (it mirrors
-	// Solve.MatVecs). The SpectralSloan regression tests use it to prove
+	// Solve.MatVecs). The SpectralSloanWS regression tests use it to prove
 	// the hybrid never repeats an eigensolve.
 	MatVecs int
 	// Solve carries the full uniform solver statistics: estimates (Lambda,
@@ -177,22 +177,15 @@ func SetEigensolveTestHook(f func(n int)) (restore func()) {
 	return func() { testHookEigensolve = prev }
 }
 
-// Spectral computes the spectral envelope-reducing ordering of g
+// SpectralWS computes the spectral envelope-reducing ordering of g
 // (Algorithm 1). Disconnected graphs are ordered component by component
 // (each uses the eigenvector of the smallest positive eigenvalue of its own
 // Laplacian, per the paper's remark in §1) and concatenated largest-first.
-func Spectral(g *graph.Graph, opt Options) (perm.Perm, Info, error) {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	//envlint:ignore ctxflow ctx-free convenience wrapper; SpectralWS is the cancellable entry point
-	return SpectralWS(context.Background(), ws, g, opt)
-}
-
-// SpectralWS is Spectral with caller-provided scratch and cancellation: the
-// envelope comparisons and subgraph extractions reuse ws buffers, which the
-// parallel pipeline checks out once per worker, and ctx interrupts in-flight
-// eigensolves at restart / V-cycle granularity (the typed
-// *lanczos.ErrCancelled propagates with the best-so-far fallback inside).
+// The envelope comparisons and subgraph extractions reuse ws buffers,
+// which the parallel pipeline checks out once per worker, and ctx
+// interrupts in-flight eigensolves at restart / V-cycle granularity (the
+// typed *lanczos.ErrCancelled propagates with the best-so-far fallback
+// inside).
 func SpectralWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, Info, error) {
 	n := g.N()
 	info := Info{}
@@ -224,21 +217,10 @@ func SpectralWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt 
 	return out, info, nil
 }
 
-// FiedlerVector computes the Fiedler vector of the connected graph g with
-// the solver selected by opt. It is exported for the examples and the
-// ablation benchmarks.
-func FiedlerVector(g *graph.Graph, opt Options) ([]float64, float64, error) {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	//envlint:ignore ctxflow ctx-free convenience wrapper; FiedlerConnectedWS is the cancellable entry point
-	x, st, err := FiedlerConnectedWS(context.Background(), ws, g, opt)
-	return x, st.Lambda, err
-}
-
 // FiedlerConnectedWS computes the Fiedler vector of the connected graph g
 // with the solver selected by opt, reporting the uniform solver statistics.
-// It is the single eigensolve entry point: Spectral, SpectralSloan and the
-// pipeline's per-component artifact cache all funnel through it (and
+// It is the single eigensolve entry point: SpectralWS, SpectralSloanWS and
+// the pipeline's per-component artifact cache all funnel through it (and
 // through the eigensolve test hook). The returned vector is freshly
 // allocated and safe to retain; ws is used only for scratch.
 func FiedlerConnectedWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) ([]float64, solver.Stats, error) {
@@ -300,23 +282,16 @@ func OrderByValues(x []float64) perm.Perm {
 	return o
 }
 
-// SpectralSloan is the hybrid the paper's §4 anticipates ("limited use of a
-// local reordering strategy based on the adjacency structure to improve the
-// envelope parameters obtained from the spectral method") and which
-// Kumfert & Pothen later published: run Sloan's greedy numbering with the
-// spectral positions as the global priority term instead of BFS distances.
-// It returns the better of the hybrid and the plain spectral ordering.
-func SpectralSloan(g *graph.Graph, opt Options) (perm.Perm, Info, error) {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	//envlint:ignore ctxflow ctx-free convenience wrapper; SpectralSloanWS is the cancellable entry point
-	return SpectralSloanWS(context.Background(), ws, g, opt)
-}
-
-// SpectralSloanWS is SpectralSloan with caller-provided scratch.
+// SpectralSloanWS is the hybrid the paper's §4 anticipates ("limited use
+// of a local reordering strategy based on the adjacency structure to
+// improve the envelope parameters obtained from the spectral method") and
+// which Kumfert & Pothen later published: run Sloan's greedy numbering
+// with the spectral positions as the global priority term instead of BFS
+// distances. It returns the better of the hybrid and the plain spectral
+// ordering.
 //
 // On disconnected graphs the already-computed global spectral ordering is
-// sliced per component — Spectral concatenates components in
+// sliced per component — SpectralWS concatenates components in
 // graph.Components order, so each slice IS that component's spectral
 // ordering — rather than re-running the eigensolver per component. Errors
 // from the single spectral pass propagate; the refinement itself cannot
@@ -337,7 +312,7 @@ func SpectralSloanWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph,
 		best = RefineSpectralWS(ws, g, spectral, bestEsize)
 	} else {
 		// Refine each component's slice of the global spectral ordering and
-		// concatenate in the same component order Spectral used.
+		// concatenate in the same component order SpectralWS used.
 		comps := graph.Components(g)
 		out := make(perm.Perm, 0, n)
 		mark := ws.Mark()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/order"
 	"repro/internal/perm"
+	"repro/internal/scratch"
 )
 
 func TestSpectralValidPermutation(t *testing.T) {
@@ -25,7 +27,7 @@ func TestSpectralValidPermutation(t *testing.T) {
 		"two-comps": graph.FromEdges(9, [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}, {7, 8}}),
 	}
 	for name, g := range graphs {
-		p, info, err := Spectral(g, Options{})
+		p, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -46,7 +48,7 @@ func TestSpectralPathRecoversNaturalOrder(t *testing.T) {
 	// must recover the natural order (or its reverse) — bandwidth 1,
 	// envelope n−1: the optimum.
 	g := graph.Path(40)
-	p, _, err := Spectral(g, Options{})
+	p, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestSpectralGridQuality(t *testing.T) {
 	// On an a×b grid (a > b) the spectral ordering should sweep along the
 	// long axis, giving envelope close to RCM's (which is near-optimal).
 	g := graph.Grid(20, 8)
-	p, _, err := Spectral(g, Options{})
+	p, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +75,11 @@ func TestSpectralGridQuality(t *testing.T) {
 
 func TestSpectralDeterministicPerSeed(t *testing.T) {
 	g := graph.Random(120, 240, 3)
-	a, _, err := Spectral(g, Options{Seed: 5})
+	a, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Spectral(g, Options{Seed: 5})
+	b, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +92,11 @@ func TestSpectralMultilevelAgreesWithLanczos(t *testing.T) {
 	// The two solvers may pick different tie-breaks but envelope quality
 	// must be comparable on a mesh.
 	g := graph.Grid(30, 20)
-	pl, _, err := Spectral(g, Options{Method: MethodLanczos})
+	pl, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodLanczos})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, infoM, err := Spectral(g, Options{Method: MethodMultilevel})
+	pm, infoM, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +253,7 @@ func TestSpectralReversalChoice(t *testing.T) {
 		b.AddEdge(i, i+1)
 	}
 	g := b.Build()
-	p, _, err := Spectral(g, Options{})
+	p, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +270,7 @@ func TestSpectralComponentsOrderedIndependently(t *testing.T) {
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, // comp A (6)
 		{6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, // comp B (6)
 	})
-	p, info, err := Spectral(g, Options{})
+	p, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +286,11 @@ func TestSpectralComponentsOrderedIndependently(t *testing.T) {
 func TestSpectralSloanNeverWorseThanSpectral(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := graph.Random(80, 200, seed)
-		ps, _, err := Spectral(g, Options{Seed: seed})
+		ps, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, _, err := SpectralSloan(g, Options{Seed: seed})
+		ph, _, err := SpectralSloanWS(context.Background(), scratch.New(), g, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +306,7 @@ func TestSpectralSloanNeverWorseThanSpectral(t *testing.T) {
 
 func TestFiedlerVectorExported(t *testing.T) {
 	g := graph.Grid(10, 10)
-	x, lambda, err := FiedlerVector(g, Options{})
+	x, st, err := FiedlerConnectedWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,16 +314,17 @@ func TestFiedlerVectorExported(t *testing.T) {
 		t.Fatalf("len = %d", len(x))
 	}
 	want := 4 * math.Pow(math.Sin(math.Pi/20), 2)
-	if math.Abs(lambda-want) > 1e-5*(1+want) {
-		t.Fatalf("λ2 = %v, want %v", lambda, want)
+	if math.Abs(st.Lambda-want) > 1e-5*(1+want) {
+		t.Fatalf("λ2 = %v, want %v", st.Lambda, want)
 	}
 }
 
 func BenchmarkSpectralGrid(b *testing.B) {
 	g := graph.Grid(60, 60)
+	ws := scratch.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Spectral(g, Options{}); err != nil {
+		if _, _, err := SpectralWS(context.Background(), ws, g, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,7 @@ import (
 //
 // The weighted solve always uses Lanczos (the multilevel hierarchy in this
 // repository is pattern-only); for very large weighted problems expect
-// longer solve times than Spectral.
+// longer solve times than SpectralWS.
 func WeightedSpectral(ctx context.Context, g *graph.Graph, weight func(u, v int) float64, opt Options) (perm.Perm, Info, error) {
 	n := g.N()
 	info := Info{}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/laplacian"
 	"repro/internal/linalg"
 	"repro/internal/perm"
+	"repro/internal/scratch"
 )
 
 func unit(u, v int) float64 { return 1 }
@@ -20,7 +21,7 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, infoU, err := Spectral(g, Options{Method: MethodLanczos, Seed: 4})
+	pu, infoU, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodLanczos, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

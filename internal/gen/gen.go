@@ -231,12 +231,6 @@ func PowerNet(n int, cross int, seed int64) *graph.Graph {
 	return b.Build()
 }
 
-// Frame3D returns an nx×ny×nz 7-point lattice — the very sparse 3-D frame
-// class of IN3C.
-func Frame3D(nx, ny, nz int) *graph.Graph {
-	return graph.Grid3D(nx, ny, nz)
-}
-
 // Frame3DL returns an L-shaped 7-point lattice with interior voids: two
 // bars of cross-section w×h and lengths a and b joined at a right angle,
 // from which `voids` small rectangular pockets are carved (deterministic

@@ -90,17 +90,6 @@ func Eccentricity(g *Graph, v int) int {
 	return NewLevelStructure(g, v).Depth() - 1
 }
 
-// BFSOrder returns the vertices of root's component in plain BFS order with
-// neighbors visited in adjacency-list order.
-func BFSOrder(g *Graph, root int) []int {
-	ls := NewLevelStructure(g, root)
-	out := make([]int, len(ls.Verts))
-	for i, v := range ls.Verts {
-		out[i] = int(v)
-	}
-	return out
-}
-
 // Distances returns the BFS distance from root to every vertex (-1 for
 // unreachable vertices).
 func Distances(g *Graph, root int) []int32 {

@@ -108,6 +108,3 @@ func (o *Weighted) GershgorinBound() float64 {
 }
 
 var _ Interface = (*Weighted)(nil)
-
-// UnitWeights adapts the unweighted case to the Weighted constructor.
-func UnitWeights(u, v int) float64 { return 1 }

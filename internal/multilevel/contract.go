@@ -7,12 +7,12 @@
 // The coarsest graph (below CoarsestSize vertices) is solved directly with
 // Lanczos; the eigenvector is then carried back up the hierarchy.
 //
-// The solver is workspace-threaded: FiedlerWS, ContractWS and RQIWS draw
+// The solver is workspace-threaded: FiedlerWS, ContractWS and RQIOnWS draw
 // every per-level structure (coarse CSR arrays, domain maps, iterate and
 // MINRES work vectors) from a scratch.Workspace, so the hierarchy build and
 // the V-cycle refinement run without per-level allocations once the arenas
-// are warm. The plain Fiedler/Contract/RQI entry points borrow a pooled
-// workspace and copy out anything they return.
+// are warm. The plain Contract entry point borrows a pooled workspace and
+// copies out what it returns.
 package multilevel
 
 import (

@@ -1,11 +1,13 @@
 package multilevel
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/lanczos"
+	"repro/internal/laplacian"
 	"repro/internal/scratch"
 )
 
@@ -162,7 +164,7 @@ func TestRQIConvergesToAnalyticPathLambda2(t *testing.T) {
 			x[v] = math.Cos(math.Pi*(float64(v)+0.5)/float64(n)) + 0.03*math.Sin(float64(5*v))
 		}
 		ws := scratch.New()
-		res := RQIWS(ws, g, x, RQIOptions{})
+		res := RQIOnWS(context.Background(), ws, laplacian.New(g), x, RQIOptions{})
 		if math.Abs(res.Lambda-want) > 1e-6*(1+want) {
 			t.Fatalf("n=%d: RQI λ = %g, want %g (residual %g, iters %d)",
 				n, res.Lambda, want, res.Residual, res.Iterations)
@@ -178,7 +180,7 @@ func TestRQIConvergesToAnalyticPathLambda2(t *testing.T) {
 // Converged=false with a usable vector and a nonzero residual.
 func TestCoarsestPartialConvergenceSurfaces(t *testing.T) {
 	g := graph.Grid(40, 40)
-	res, err := Fiedler(g, Options{
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{
 		CoarsestSize: 200,
 		Lanczos:      lanczos.Options{MaxBasis: 3, MaxRestarts: 1, Tol: 1e-14},
 	})
@@ -195,7 +197,7 @@ func TestCoarsestPartialConvergenceSurfaces(t *testing.T) {
 		t.Fatal("residual not recorded for partial solve")
 	}
 	// A healthy run reports Converged=true.
-	res, err = Fiedler(g, Options{})
+	res, err = FiedlerWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,20 +87,12 @@ type Result struct {
 	Converged bool
 }
 
-// Fiedler computes an approximate Fiedler vector of the connected graph g
-// using the multilevel contraction / interpolation / RQI-refinement scheme
-// of §3. Graphs already below CoarsestSize are handed straight to Lanczos.
-func Fiedler(g *graph.Graph, opt Options) (Result, error) {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	//envlint:ignore ctxflow ctx-free convenience wrapper; FiedlerWS is the cancellable entry point
-	return FiedlerWS(context.Background(), ws, g, opt)
-}
-
-// FiedlerWS is Fiedler with caller-provided scratch: the whole hierarchy
-// (coarse CSR arrays, domain maps, per-level operators and iterates) lives
-// in ws arenas for the duration of the call. The returned vector is freshly
-// allocated and safe to retain.
+// FiedlerWS computes an approximate Fiedler vector of the connected graph
+// g using the multilevel contraction / interpolation / RQI-refinement
+// scheme of §3. Graphs already below CoarsestSize are handed straight to
+// Lanczos. The whole hierarchy (coarse CSR arrays, domain maps, per-level
+// operators and iterates) lives in ws arenas for the duration of the call.
+// The returned vector is freshly allocated and safe to retain.
 //
 // ctx is checked between hierarchy-build contractions, at every V-cycle
 // level and inside the coarsest Lanczos solve's restart loop: on

@@ -1,12 +1,14 @@
 package multilevel
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/laplacian"
 	"repro/internal/linalg"
+	"repro/internal/scratch"
 )
 
 func TestMaximalIndependentSetIsIndependentAndMaximal(t *testing.T) {
@@ -136,7 +138,7 @@ func TestRQIRefinesPerturbedEigenvector(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x[i] = V.At(i, 1) + 0.05*math.Sin(float64(3*i))
 	}
-	res := RQI(g, x, RQIOptions{})
+	res := RQIOnWS(context.Background(), scratch.New(), laplacian.New(g), x, RQIOptions{})
 	if math.Abs(res.Lambda-eig[1]) > 1e-6*(1+eig[1]) {
 		t.Fatalf("RQI λ = %v, want %v (residual %v)", res.Lambda, eig[1], res.Residual)
 	}
@@ -145,7 +147,7 @@ func TestRQIRefinesPerturbedEigenvector(t *testing.T) {
 func TestRQIZeroInputRecovers(t *testing.T) {
 	g := graph.Path(20)
 	x := make([]float64, 20) // degenerate all-zero start
-	res := RQI(g, x, RQIOptions{MaxIter: 8})
+	res := RQIOnWS(context.Background(), scratch.New(), laplacian.New(g), x, RQIOptions{MaxIter: 8})
 	if linalg.Nrm2(x) == 0 {
 		t.Fatal("RQI left zero vector")
 	}
@@ -165,7 +167,7 @@ func TestFiedlerMatchesClosedFormsLarge(t *testing.T) {
 		{"Cycle500", graph.Cycle(500), 2 - 2*math.Cos(2*math.Pi/500)},
 	}
 	for _, tc := range cases {
-		res, err := Fiedler(tc.g, Options{})
+		res, err := FiedlerWS(context.Background(), scratch.New(), tc.g, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -183,7 +185,7 @@ func TestFiedlerMatchesClosedFormsLarge(t *testing.T) {
 
 func TestFiedlerSmallGraphDirect(t *testing.T) {
 	g := graph.Grid(6, 5) // below CoarsestSize ⇒ pure Lanczos
-	res, err := Fiedler(g, Options{})
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestFiedlerVectorQuality(t *testing.T) {
 	// On a long path the multilevel vector must be (nearly) monotone —
 	// the property that makes the spectral ordering work.
 	g := graph.Path(2000)
-	res, err := Fiedler(g, Options{})
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,7 @@ func TestFiedlerVectorQuality(t *testing.T) {
 
 func TestFiedlerOrthogonalToOnes(t *testing.T) {
 	g := graph.Random(3000, 6000, 4)
-	res, err := Fiedler(g, Options{})
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +244,13 @@ func TestFiedlerOrthogonalToOnes(t *testing.T) {
 }
 
 func TestFiedlerEmptyGraphError(t *testing.T) {
-	if _, err := Fiedler(graph.NewBuilder(0).Build(), Options{}); err == nil {
+	if _, err := FiedlerWS(context.Background(), scratch.New(), graph.NewBuilder(0).Build(), Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestFiedlerSingleton(t *testing.T) {
-	res, err := Fiedler(graph.NewBuilder(1).Build(), Options{})
+	res, err := FiedlerWS(context.Background(), scratch.New(), graph.NewBuilder(1).Build(), Options{})
 	if err != nil || len(res.Vector) != 1 {
 		t.Fatalf("singleton: %+v, %v", res, err)
 	}
@@ -303,7 +305,7 @@ func BenchmarkMultilevelFiedler(b *testing.B) {
 	g := graph.Grid(120, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fiedler(g, Options{}); err != nil {
+		if _, err := FiedlerWS(context.Background(), scratch.New(), g, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,14 +1,17 @@
 package multilevel
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/laplacian"
+	"repro/internal/scratch"
 )
 
 func TestMaxLevelsRespected(t *testing.T) {
 	g := graph.Grid(60, 60) // deep hierarchy if unconstrained
-	res, err := Fiedler(g, Options{CoarsestSize: 10, MaxLevels: 3})
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{CoarsestSize: 10, MaxLevels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +27,11 @@ func TestMaxLevelsRespected(t *testing.T) {
 
 func TestCoarsestSizeControlsDepth(t *testing.T) {
 	g := graph.Grid(50, 50)
-	shallow, err := Fiedler(g, Options{CoarsestSize: 1200})
+	shallow, err := FiedlerWS(context.Background(), scratch.New(), g, Options{CoarsestSize: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := Fiedler(g, Options{CoarsestSize: 30})
+	deep, err := FiedlerWS(context.Background(), scratch.New(), g, Options{CoarsestSize: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestRQIInnerIterationCap(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%13) - 6
 	}
-	res := RQI(g, x, RQIOptions{MaxIter: 2, InnerMaxIter: 5})
+	res := RQIOnWS(context.Background(), scratch.New(), laplacian.New(g), x, RQIOptions{MaxIter: 2, InnerMaxIter: 5})
 	if res.InnerIters > 2*5 {
 		t.Fatalf("inner iterations %d exceed cap", res.InnerIters)
 	}
@@ -61,7 +64,7 @@ func TestContractOnCompleteGraph(t *testing.T) {
 	// On K_n the MIS is a single vertex: contraction collapses to 1 vertex
 	// and the driver must stop cleanly rather than loop.
 	g := graph.Complete(30)
-	res, err := Fiedler(g, Options{CoarsestSize: 5})
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{CoarsestSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestSmoothStepsZeroUsesDefault(t *testing.T) {
 	// SmoothSteps 0 means "default", and negative values are the caller's
 	// way to request... there is no negative semantics: ensure default path
 	// converges.
-	res, err := Fiedler(g, Options{SmoothSteps: 0})
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{SmoothSteps: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,39 +89,22 @@ func JacobiSmoothWS(ws *scratch.Workspace, g *graph.Graph, op laplacian.Interfac
 	return steps
 }
 
-// RQI refines an approximate Fiedler vector x (modified in place) of the
-// Laplacian of g using Rayleigh Quotient Iteration: repeatedly solve
+// RQIOnWS refines an approximate Fiedler vector x (modified in place) of
+// the Laplacian op using Rayleigh Quotient Iteration: repeatedly solve
 // (L − ρI)·y = x with MINRES (the symmetric-indefinite role SYMMLQ plays in
 // the original implementation) and renormalize, where ρ is the current
 // Rayleigh quotient. Iterates are kept orthogonal to the constant vector,
 // on which L − ρI is nonsingular for 0 < ρ < λ2 or λ2-adjacent shifts.
-func RQI(g *graph.Graph, x []float64, opt RQIOptions) RQIResult {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	return RQIWS(ws, g, x, opt)
-}
-
-// RQIWS is RQI with caller-provided scratch: the operator's degree table,
-// the residual and solution vectors and the MINRES work vectors all come
-// from ws.
-func RQIWS(ws *scratch.Workspace, g *graph.Graph, x []float64, opt RQIOptions) RQIResult {
-	m := ws.Mark()
-	defer ws.Release(m)
-	//envlint:ignore ctxflow ctx-free convenience wrapper; RQIOnWS is the cancellable entry point
-	return RQIOnWS(context.Background(), ws, laplacian.AutoFrom(g, ws.Float64s(g.N())), x, opt)
-}
-
-// RQIOnWS is RQIWS against an already-constructed Laplacian operator, for
-// callers (the standalone RQI solver) that hold one from an earlier stage.
-// ctx is checked once per RQI step: on cancellation the iteration stops at
-// the current iterate (Converged=false) instead of starting another MINRES
-// inner solve.
+// The residual and solution vectors and the MINRES work vectors all come
+// from ws. ctx is checked once per RQI step: on cancellation the iteration
+// stops at the current iterate (Converged=false) instead of starting
+// another MINRES inner solve.
 func RQIOnWS(ctx context.Context, ws *scratch.Workspace, op laplacian.Interface, x []float64, opt RQIOptions) RQIResult {
 	shifted := &linalg.ShiftedOp{A: op}
 	return rqiRefine(ctx, ws, op, x, opt, shifted)
 }
 
-// rqiRefine is the workspace-threaded RQI core shared by RQIWS and the
+// rqiRefine is the workspace-threaded RQI core shared by RQIOnWS and the
 // V-cycle in FiedlerWS. shifted is a reusable shifted-operator shell (its A
 // and Sigma are overwritten) so the hot loop boxes no new operator values;
 // the caller allocates it once per solve.

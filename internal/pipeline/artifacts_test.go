@@ -32,7 +32,7 @@ func TestAutoEigensolvesOncePerComponent(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var rep Report
 		solves := countEigensolves(func() {
-			p, r, err := Auto(g, Options{Seed: 5, Parallelism: workers})
+			p, r, err := Auto(context.Background(), g, Options{Seed: 5, Parallelism: workers}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestAutoEigensolveCountPerPortfolio(t *testing.T) {
 	}
 	for _, tc := range cases {
 		solves := countEigensolves(func() {
-			if _, _, err := Auto(g, Options{Seed: 2, Portfolio: tc.portfolio}); err != nil {
+			if _, _, err := Auto(context.Background(), g, Options{Seed: 2, Portfolio: tc.portfolio}, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -83,7 +83,7 @@ func TestAutoEigensolveCountPerPortfolio(t *testing.T) {
 // combinatorial candidates must not.
 func TestCandidateSolveStats(t *testing.T) {
 	g := multiComponentGraph()
-	_, rep, err := Auto(g, Options{Seed: 9})
+	_, rep, err := Auto(context.Background(), g, Options{Seed: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +152,14 @@ func TestArtifactCandidatesMatchStandalone(t *testing.T) {
 		AlgKing:  func() perm.Perm { return order.King(g) },
 		AlgSloan: func() perm.Perm { return order.Sloan(g) },
 		AlgSpectral: func() perm.Perm {
-			p, _, err := core.Spectral(g, core.Options{Seed: seed})
+			p, _, err := core.SpectralWS(context.Background(), scratch.New(), g, core.Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p
 		},
 		AlgSpectralSloan: func() perm.Perm {
-			p, _, err := core.SpectralSloan(g, core.Options{Seed: seed})
+			p, _, err := core.SpectralSloanWS(context.Background(), scratch.New(), g, core.Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestArtifactCandidatesMatchStandalone(t *testing.T) {
 		},
 	}
 	for alg, f := range standalone {
-		p, _, err := Auto(g, Options{Seed: seed, Portfolio: []string{alg}})
+		p, _, err := Auto(context.Background(), g, Options{Seed: seed, Portfolio: []string{alg}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -213,7 +213,7 @@ func TestArtifactsMemoization(t *testing.T) {
 	if st1.MatVecs == 0 || st1.Scheme == "" {
 		t.Fatalf("Fiedler stats not populated: %+v", st1)
 	}
-	// The memoized spectral ordering matches core.Spectral, and its cached
+	// The memoized spectral ordering matches core.SpectralWS, and its cached
 	// envelope size is the true one.
 	o, esize, _, st3, err := art.Spectral(context.Background(), ws)
 	if err != nil {
@@ -222,12 +222,12 @@ func TestArtifactsMemoization(t *testing.T) {
 	if st3 != st1 {
 		t.Fatal("Spectral artifact reports different solve stats")
 	}
-	p, _, err := core.Spectral(g, core.Options{Seed: 3})
+	p, _, err := core.SpectralWS(context.Background(), scratch.New(), g, core.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !o.Equal(p) {
-		t.Fatal("artifact spectral ordering differs from core.Spectral")
+		t.Fatal("artifact spectral ordering differs from core.SpectralWS")
 	}
 	if esize != envelope.Esize(g, o) {
 		t.Fatalf("cached esize %d != recomputed %d", esize, envelope.Esize(g, o))

@@ -30,8 +30,8 @@ const (
 )
 
 // builtin is the shape every built-in Orderer shares: a whole-graph path
-// (Session.Order and the compatibility shims; must handle disconnected
-// input) and a component path that exploits the portfolio engine's
+// (Session.Do on uncached or disconnected input; must handle disconnected
+// graphs) and a component path that exploits the portfolio engine's
 // per-component artifact cache. Both are byte-identical in output to the
 // standalone algorithm — the artifact cache removes recomputation, never
 // changes results (pinned by TestArtifactCandidatesMatchStandalone).
@@ -75,7 +75,7 @@ func FillConnectedInfo(info *core.Info, st solver.Stats, reversed bool) {
 
 // connectedInfo is FillConnectedInfo into a fresh allocation, so the
 // artifact-backed path (Session.Do on a connected graph) stays field-
-// identical to core.SpectralWS — the shim-equivalence contract.
+// identical to core.SpectralWS — the session-equivalence contract.
 func connectedInfo(st solver.Stats, reversed bool) *core.Info {
 	info := new(core.Info)
 	FillConnectedInfo(info, st, reversed)
@@ -101,8 +101,7 @@ func combinatorial(f func(ws *scratch.Workspace, g *graph.Graph) perm.Perm) func
 
 // spectralResult packages a core spectral run as a Result. The Info pointer
 // is set even on error — core reports the work a failed solve burned — so
-// the compatibility shims can preserve the historical (nil perm, partial
-// info, err) return shape.
+// a failed Session call still shows what it spent.
 func spectralResult(o perm.Perm, info core.Info, err error) (Result, error) {
 	return Result{Perm: o, Solve: &info.Solve, Info: &info}, err
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -48,7 +49,7 @@ func multiComponentGraph() *graph.Graph {
 func TestAutoDeterminismPooledWorkspaces(t *testing.T) {
 	g := multiComponentGraph()
 	run := func(workers int) (string, Report) {
-		p, rep, err := Auto(g, Options{Seed: 1993, Parallelism: workers})
+		p, rep, err := Auto(context.Background(), g, Options{Seed: 1993, Parallelism: workers}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,9 @@
 // peripheral searches. User-registered Orderers reach the same cache
 // through OrderRequest.Artifacts. Artifacts are pure functions of the
 // component and the options, so sharing does not perturb determinism or
-// results. Options.Cache additionally persists decomposition, subgraphs
-// and artifacts across Auto calls on the same graph — the reuse a
-// long-lived Session provides.
+// results. Auto's cache argument additionally persists decomposition,
+// subgraphs and artifacts across Auto calls on the same graph — the reuse
+// a long-lived Session provides.
 //
 // The engine is deterministic: for a fixed graph, portfolio and seed the
 // result is byte-identical regardless of Parallelism or goroutine
@@ -80,13 +80,6 @@ type Options struct {
 	// eigensolves return within one restart / V-cycle iteration). Both
 	// depend on timing, so budgeted runs trade determinism for latency.
 	Budget time.Duration
-	// Context, when non-nil, cancels the run: Auto returns ctx.Err() and a
-	// nil permutation. Nil means context.Background().
-	Context context.Context
-	// Cache, when non-nil, memoizes the component decomposition, subgraph
-	// extraction and per-component artifacts across Auto calls on the same
-	// graph (see Cache). Sessions install theirs here.
-	Cache *Cache
 }
 
 // Candidate reports one algorithm's attempt on one component.
@@ -191,13 +184,13 @@ type componentWork struct {
 
 // Auto computes the portfolio ordering of g. See the package comment for
 // the engine's contract; the returned Report names the winning algorithm
-// and the losing candidates per component.
-func Auto(g *graph.Graph, opt Options) (perm.Perm, Report, error) {
+// and the losing candidates per component. Cancelling ctx cancels the
+// run: Auto returns ctx.Err() and a nil permutation. cache, when non-nil,
+// memoizes the component decomposition, subgraph extraction and
+// per-component artifacts across Auto calls on the same graph (see Cache);
+// Sessions pass theirs.
+func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.Perm, Report, error) {
 	start := time.Now()
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	names, err := Portfolio(opt)
 	if err != nil {
 		return nil, Report{}, err
@@ -241,8 +234,7 @@ func Auto(g *graph.Graph, opt Options) (perm.Perm, Report, error) {
 	// A caller-supplied operator is per-call identity that artKey
 	// deliberately strips from the cache key, so such runs are served
 	// uncached — otherwise a second run could be handed a solve driven by
-	// the previous call's operator (mirrors Session.Do / Session.fiedler).
-	cache := opt.Cache
+	// the previous call's operator (mirrors Session.Do / Session.Fiedler).
 	if sopt.Operator != nil || sopt.Multilevel.FinestOp != nil {
 		cache = nil
 	}

@@ -14,7 +14,7 @@ import (
 
 func mustAuto(t *testing.T, g *graph.Graph, opt Options) (perm.Perm, Report) {
 	t.Helper()
-	p, rep, err := Auto(g, opt)
+	p, rep, err := Auto(context.Background(), g, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestAutoNeverWorseThanSingleAlgorithms(t *testing.T) {
 func TestAutoCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Auto(graph.Grid(30, 30), Options{Context: ctx})
+	_, _, err := Auto(ctx, graph.Grid(30, 30), Options{}, nil)
 	if err != context.Canceled {
 		t.Fatalf("got err %v, want context.Canceled", err)
 	}
@@ -168,7 +168,7 @@ func TestAutoBudgetStillValid(t *testing.T) {
 	// An already-expired budget must still produce a valid ordering via
 	// the fallback (first portfolio entry).
 	g := disconnected()
-	p, rep, err := Auto(g, Options{Seed: 2, Budget: time.Nanosecond})
+	p, rep, err := Auto(context.Background(), g, Options{Seed: 2, Budget: time.Nanosecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestAutoBudgetStillValid(t *testing.T) {
 }
 
 func TestAutoUnknownAlgorithm(t *testing.T) {
-	_, _, err := Auto(graph.Path(4), Options{Portfolio: []string{"NOPE"}})
+	_, _, err := Auto(context.Background(), graph.Path(4), Options{Portfolio: []string{"NOPE"}}, nil)
 	if err == nil {
 		t.Fatal("expected error for unknown portfolio algorithm")
 	}
@@ -194,7 +194,7 @@ func TestAutoUnknownAlgorithm(t *testing.T) {
 
 func TestAutoCustomPortfolio(t *testing.T) {
 	g := graph.Grid(10, 10)
-	p, rep, err := Auto(g, Options{Portfolio: []string{AlgKing, AlgGPS}})
+	p, rep, err := Auto(context.Background(), g, Options{Portfolio: []string{AlgKing, AlgGPS}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestAutoSuiteAcceptance(t *testing.T) {
 				"GK":    envelope.Esize(g, order.GK(g)),
 				"Sloan": envelope.Esize(g, order.Sloan(g)),
 			}
-			if sp, _, err := Auto(g, Options{Seed: seed, Portfolio: []string{AlgSpectral}}); err == nil {
+			if sp, _, err := Auto(context.Background(), g, Options{Seed: seed, Portfolio: []string{AlgSpectral}}, nil); err == nil {
 				singles["Spectral"] = envelope.Esize(g, sp)
 			}
 			for name, es := range singles {

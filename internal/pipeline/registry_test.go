@@ -161,7 +161,7 @@ func TestCustomOrdererWinsComponentsInAuto(t *testing.T) {
 	_ = optimalStarRegistered
 	g := starsAndGrid()
 	portfolio := append([]string{"TEST-STAR"}, DefaultPortfolio()...)
-	p, rep, err := Auto(g, Options{Seed: 3, Portfolio: portfolio, Parallelism: 4})
+	p, rep, err := Auto(context.Background(), g, Options{Seed: 3, Portfolio: portfolio, Parallelism: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCustomOrdererWinsComponentsInAuto(t *testing.T) {
 		t.Fatal("custom candidate missing from the big component's report")
 	}
 	// Determinism holds with a custom orderer in the race.
-	p1, _, err := Auto(g, Options{Seed: 3, Portfolio: portfolio, Parallelism: 1})
+	p1, _, err := Auto(context.Background(), g, Options{Seed: 3, Portfolio: portfolio, Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestBudgetInterruptsRunningCandidate(t *testing.T) {
 	_ = testBlockRegistered
 	g := graph.Grid(12, 9)
 	start := time.Now()
-	p, rep, err := Auto(g, Options{
+	p, rep, err := Auto(context.Background(), g, Options{
 		Seed:      1,
 		Portfolio: []string{AlgRCM, "TEST-BLOCK"},
 		Budget:    100 * time.Millisecond,
-	})
+	}, nil)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -314,11 +314,11 @@ func TestArtifactsRetryAfterCancelledSolve(t *testing.T) {
 func TestWeightedInPortfolio(t *testing.T) {
 	g := multiComponentGraph()
 	weight := func(u, v int) float64 { return 1 + float64((u+v)%3) }
-	p, rep, err := Auto(g, Options{
+	p, rep, err := Auto(context.Background(), g, Options{
 		Seed:      4,
 		Portfolio: []string{AlgRCM, AlgWeighted},
 		Weight:    weight,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestWeightedInPortfolio(t *testing.T) {
 	}
 	// Without a weight function the candidate fails cleanly and the rest
 	// of the portfolio covers.
-	p2, rep2, err := Auto(g, Options{Seed: 4, Portfolio: []string{AlgRCM, AlgWeighted}})
+	p2, rep2, err := Auto(context.Background(), g, Options{Seed: 4, Portfolio: []string{AlgRCM, AlgWeighted}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +359,17 @@ func TestWeightedInPortfolio(t *testing.T) {
 func TestCacheReusesArtifactsAcrossRuns(t *testing.T) {
 	g := multiComponentGraph()
 	cache := NewCache(0)
-	opt := Options{Seed: 5, Cache: cache}
+	opt := Options{Seed: 5}
 	var first, second perm.Perm
 	solves1 := countEigensolves(func() {
-		p, _, err := Auto(g, opt)
+		p, _, err := Auto(context.Background(), g, opt, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
 		first = p
 	})
 	solves2 := countEigensolves(func() {
-		p, _, err := Auto(g, opt)
+		p, _, err := Auto(context.Background(), g, opt, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestCacheReusesArtifactsAcrossRuns(t *testing.T) {
 	if !first.Equal(second) {
 		t.Fatal("cached run differs from fresh run")
 	}
-	uncached, _, err := Auto(g, Options{Seed: 5})
+	uncached, _, err := Auto(context.Background(), g, Options{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestCacheEviction(t *testing.T) {
 	cache := NewCache(2)
 	graphs := []*graph.Graph{graph.Path(30), graph.Path(31), graph.Path(32)}
 	for _, g := range graphs {
-		if _, _, err := Auto(g, Options{Seed: 1, Cache: cache, Portfolio: []string{AlgRCM}}); err != nil {
+		if _, _, err := Auto(context.Background(), g, Options{Seed: 1, Portfolio: []string{AlgRCM}}, cache); err != nil {
 			t.Fatal(err)
 		}
 	}

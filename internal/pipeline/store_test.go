@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -34,11 +35,10 @@ func autoThroughStore(t *testing.T, st store.Store, opt Options) []int32 {
 	t.Helper()
 	cache := NewCache(4)
 	cache.SetStore(st)
-	opt.Cache = cache
 	if opt.Portfolio == nil {
 		opt.Portfolio = []string{"RCM", "SPECTRAL"}
 	}
-	p, _, err := Auto(storeTestGraph(), opt)
+	p, _, err := Auto(context.Background(), storeTestGraph(), opt, cache)
 	if err != nil {
 		t.Fatalf("Auto: %v", err)
 	}

@@ -44,16 +44,8 @@ type Result = pipeline.Result
 // orderers (one matvec at a time, possibly mid-eigensolve elsewhere).
 type Artifacts = pipeline.Artifacts
 
-// ArtifactCache memoizes component decompositions, extracted subgraphs and
-// per-component Artifacts across calls on the same graph, LRU-bounded.
-// Sessions own one; AutoOptions.Cache threads one into a bare Auto call.
-type ArtifactCache = pipeline.Cache
-
-// NewArtifactCache returns an ArtifactCache retaining at most maxGraphs
-// graphs (≤ 0 means DefaultCacheGraphs).
-func NewArtifactCache(maxGraphs int) *ArtifactCache { return pipeline.NewCache(maxGraphs) }
-
-// DefaultCacheGraphs is the default ArtifactCache capacity.
+// DefaultCacheGraphs is the default capacity of a Session's per-graph
+// artifact cache (SessionOptions.CacheGraphs = 0).
 const DefaultCacheGraphs = pipeline.DefaultCacheGraphs
 
 // Workspace is the reusable per-worker scratch workspace threaded through

@@ -3,7 +3,6 @@ package envred
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -46,14 +45,14 @@ type SessionOptions struct {
 	Store Store
 }
 
-// Session is a reusable, goroutine-safe ordering service: it owns a
-// per-graph artifact cache (component decomposition, extracted subgraphs,
-// Fiedler eigensolves, peripheral roots and pseudo-diameter pairs, LRU-
-// bounded by SessionOptions.CacheGraphs) and runs every call on the shared
+// Session is the entry point of the ordering service: a reusable,
+// goroutine-safe object that owns a per-graph artifact cache (component
+// decomposition, extracted subgraphs, Fiedler eigensolves, peripheral
+// roots and pseudo-diameter pairs, LRU-bounded by
+// SessionOptions.CacheGraphs) and runs every call on the shared
 // scratch-arena, Lanczos-workspace and parallel-SpMV worker pools, so a
-// long-lived Session amortizes all of that across calls — the serving
-// shape the top-level convenience functions (Spectral, Auto, Fiedler, …)
-// now delegate to through a lazily-initialized default Session.
+// long-lived Session amortizes all of that across calls. For strictly
+// stateless use, build one with CacheGraphs: -1.
 //
 // All methods are context-first: cancellation and deadlines interrupt
 // in-flight eigensolves at restart / V-cycle granularity, returning the
@@ -68,9 +67,10 @@ type SessionOptions struct {
 // pool across processes sharing one store.
 //
 // Caching never changes results: every cached artifact is a pure function
-// of the graph and the options, so Session calls are byte-identical to the
-// uncached top-level functions (pinned by the shim-equivalence tests) —
-// and store-warmed calls to both.
+// of the graph and the options, so cached Session calls are byte-identical
+// to cache-less ones and to the direct internal paths (pinned by the
+// session-equivalence golden tests) — and store-warmed calls to all of
+// them.
 type Session struct {
 	opt   SessionOptions
 	cache *pipeline.Cache
@@ -89,36 +89,6 @@ func NewSession(opt SessionOptions) *Session {
 	return s
 }
 
-var (
-	defaultSessionOnce sync.Once
-	defaultSession     *Session
-)
-
-// DefaultSession returns the lazily-initialized process-wide Session the
-// top-level convenience functions (Spectral, SpectralSloan,
-// WeightedSpectral, Auto, Fiedler) delegate to. Its artifact cache
-// retains up to DefaultCacheGraphs recently-ordered graphs (with their
-// extracted subgraphs and Fiedler vectors) to amortize repeated calls;
-// call DefaultSession().Reset() to release that working set, or hold a
-// dedicated NewSession(SessionOptions{CacheGraphs: -1}) for strictly
-// stateless behavior.
-func DefaultSession() *Session {
-	defaultSessionOnce.Do(func() {
-		defaultSession = NewSession(SessionOptions{})
-	})
-	return defaultSession
-}
-
-// spectral returns the session-default eigensolver options with the seed
-// defaulted.
-func (s *Session) spectral() SpectralOptions {
-	opt := s.opt.Spectral
-	if opt.Seed == 0 {
-		opt.Seed = s.opt.Seed
-	}
-	return opt
-}
-
 // Order runs one registered algorithm (see Algorithms) on g — the whole
 // graph, disconnected inputs included — and reports the uniform Result.
 // The algorithm name is case-insensitive; unknown names error with the
@@ -135,18 +105,12 @@ func (s *Session) OrderWeighted(ctx context.Context, g *Graph, algorithm string,
 }
 
 // Do runs a registered algorithm with an explicit request — the escape
-// hatch Order and OrderWeighted are sugar over, and the one the
-// compatibility shims use to pass per-call eigensolver options. The
-// request's Seed defaults to the session's; its Artifacts and Workspace
-// fields are managed by the engine and should be left nil.
+// hatch Order and OrderWeighted are sugar over, and the way to pass
+// per-call eigensolver options. The request's Seed defaults to the
+// session's; its Artifacts and Workspace fields are managed by the engine
+// and should be left nil. Result.Stats carries the envelope parameters of
+// the returned ordering.
 func (s *Session) Do(ctx context.Context, g *Graph, algorithm string, req OrderRequest) (Result, error) {
-	return s.do(ctx, g, algorithm, req, true)
-}
-
-// do is Do with Result.Stats optional: the historical shims discard the
-// envelope parameters, so they skip that O(n+nnz) scan entirely rather
-// than compute and throw it away.
-func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderRequest, wantStats bool) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -171,7 +135,7 @@ func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderR
 	// SPECTRAL / SPECTRAL+SLOAN / BFS-rooted calls — then share the
 	// expensive precomputations. Artifacts are pure functions of
 	// (graph, options), so results stay byte-identical to the uncached
-	// path (pinned by the shim-equivalence golden test). Components of
+	// path (pinned by the session-equivalence golden test). Components of
 	// < 3 vertices and disconnected graphs take the whole-graph path.
 	// A caller-supplied operator (req.Spectral.Operator or
 	// req.Spectral.Multilevel.FinestOp) bypasses the cache: the caller
@@ -207,16 +171,26 @@ func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderR
 	if cerr := res.Perm.Check(); cerr != nil {
 		return res, fmt.Errorf("envred: %s returned an invalid permutation: %w", name, cerr)
 	}
-	if wantStats {
-		res.Stats = envelope.Compute(g, res.Perm)
-	}
+	res.Stats = envelope.Compute(g, res.Perm)
 	return res, nil
 }
 
-// Auto races the session's portfolio per connected component (see the
-// package-level Auto) with the session's seed, parallelism and budget,
-// reusing the session's per-graph artifact cache. The full per-component
-// report rides in Result.Report.
+// Auto splits g into connected components, orders every component
+// concurrently while racing the session's portfolio of ordering
+// algorithms, keeps the candidate with the smallest envelope per component
+// (ties: bandwidth, then work), and stitches the winners into one global
+// permutation, reusing the session's per-graph artifact cache. The result
+// is deterministic for a fixed seed regardless of Parallelism, unless a
+// Budget is set: budget expiry skips unstarted candidates and cancels
+// in-flight ones by wall clock, so budgeted runs trade determinism for
+// latency (the first portfolio entry always runs to completion, so the
+// result stays valid). The full per-component report rides in
+// Result.Report.
+//
+// Prefer Auto over the single SPECTRAL ordering when the input may be
+// disconnected, when no single algorithm is known to dominate on the
+// workload, or when spare cores are available to hide the portfolio's
+// cost.
 func (s *Session) Auto(ctx context.Context, g *Graph) (Result, error) {
 	return s.AutoWith(ctx, g, AutoOptions{
 		Seed:        s.opt.Seed,
@@ -227,18 +201,14 @@ func (s *Session) Auto(ctx context.Context, g *Graph) (Result, error) {
 	})
 }
 
-// AutoWith is Auto with explicit engine options (the session contributes
-// its artifact cache, and ctx overrides opt.Context).
+// AutoWith is Auto with explicit engine options; the session contributes
+// its artifact cache.
 func (s *Session) AutoWith(ctx context.Context, g *Graph, opt AutoOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt.Context = ctx
-	if opt.Cache == nil {
-		opt.Cache = s.cache
-	}
 	start := time.Now()
-	p, rep, err := pipeline.Auto(g, opt)
+	p, rep, err := pipeline.Auto(ctx, g, opt, s.cache)
 	res := Result{
 		Perm:      p,
 		Algorithm: "AUTO",
@@ -258,12 +228,12 @@ func (s *Session) AutoWith(ctx context.Context, g *Graph, opt AutoOptions) (Resu
 // (λ2 in Stats.Lambda). Repeated calls on the same graph are served from
 // the session's artifact cache — the eigensolve runs once.
 func (s *Session) Fiedler(ctx context.Context, g *Graph) ([]float64, SolveStats, error) {
-	return s.fiedler(ctx, g, s.spectral())
-}
-
-func (s *Session) fiedler(ctx context.Context, g *Graph, opt core.Options) ([]float64, SolveStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	opt := s.opt.Spectral
+	if opt.Seed == 0 {
+		opt.Seed = s.opt.Seed
 	}
 	ws := scratch.Get()
 	defer scratch.Put(ws)
@@ -280,16 +250,14 @@ func (s *Session) fiedler(ctx context.Context, g *Graph, opt core.Options) ([]fl
 			return x, st, err
 		}
 	}
-	// No cache (or unspecified disconnected input): solve directly, exactly
-	// as the historical core path does.
+	// No cache (or unspecified disconnected input): solve directly.
 	return core.FiedlerConnectedWS(ctx, ws, g, opt)
 }
 
 // Reset drops the session's in-memory artifact cache, releasing every
 // graph, subgraph and eigenvector it was pinning. Useful when a long-lived
-// Session (including the DefaultSession behind the top-level shims) has
-// finished with a working set of graphs and the memory should go back to
-// the collector. The persistent store (SessionOptions.Store) is untouched:
+// Session has finished with a working set of graphs and the memory should
+// go back to the collector. The persistent store (SessionOptions.Store) is untouched:
 // a reset session re-warms from it by content instead of re-solving.
 func (s *Session) Reset() {
 	if s.cache != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/laplacian"
 	"repro/internal/linalg"
 	"repro/internal/pipeline"
+	"repro/internal/scratch"
 )
 
 // lanczosUnreachable keeps the solver restarting until a hook fires.
@@ -21,7 +22,7 @@ func lanczosUnreachable(maxBasis int) lanczos.Options {
 }
 
 // mixedGraph builds a disconnected input with components of several
-// characters — the shim-equivalence and concurrency workload.
+// characters — the session-equivalence and concurrency workload.
 func mixedGraph() *envred.Graph {
 	parts := []*envred.Graph{
 		envred.Grid(11, 7),
@@ -45,68 +46,53 @@ func mixedGraph() *envred.Graph {
 	return b.Build()
 }
 
-// The shim-equivalence golden test: the historical top-level functions,
-// now thin shims over the default Session, must stay byte-identical to
-// the direct internal paths they used to call, and to explicit Session
-// usage — for fixed seeds, disconnected input included.
+// The session-equivalence golden test: Session calls must stay
+// byte-identical to the direct internal paths they dispatch to
+// (core.SpectralWS, core.SpectralSloanWS, pipeline.Auto, the classical
+// orderings and core.WeightedSpectral) — for fixed seeds, disconnected
+// input included.
 func TestShimEquivalenceGolden(t *testing.T) {
 	g := mixedGraph()
 	ctx := context.Background()
+	ws := scratch.New()
 	for _, seed := range []int64{1, 5} {
 		opt := envred.SpectralOptions{Seed: seed}
-
-		wantSpectral, wantInfo, err := core.Spectral(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSpectral, gotInfo, err := envred.Spectral(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotSpectral.Equal(wantSpectral) {
-			t.Fatalf("seed %d: Spectral shim differs from core.Spectral", seed)
-		}
-		if gotInfo != wantInfo {
-			t.Fatalf("seed %d: Spectral shim info differs:\n%+v\n%+v", seed, gotInfo, wantInfo)
-		}
 		sess := envred.NewSession(envred.SessionOptions{Seed: seed})
+
+		wantSpectral, wantInfo, err := core.SpectralWS(ctx, ws, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := sess.Order(ctx, g, envred.AlgSpectral)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Perm.Equal(wantSpectral) {
-			t.Fatalf("seed %d: Session.Order(SPECTRAL) differs from core.Spectral", seed)
+			t.Fatalf("seed %d: Session.Order(SPECTRAL) differs from core.SpectralWS", seed)
+		}
+		if *res.Info != wantInfo {
+			t.Fatalf("seed %d: Session.Order(SPECTRAL) info differs:\n%+v\n%+v", seed, *res.Info, wantInfo)
 		}
 		if res.Stats != envred.Stats(g, wantSpectral) {
 			t.Fatalf("seed %d: Session result stats wrong", seed)
 		}
 
-		wantHybrid, _, err := core.SpectralSloan(g, opt)
+		wantHybrid, _, err := core.SpectralSloanWS(ctx, ws, g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotHybrid, _, err := envred.SpectralSloan(g, opt)
+		hres, err := sess.Order(ctx, g, envred.AlgSpectralSloan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !gotHybrid.Equal(wantHybrid) {
-			t.Fatalf("seed %d: SpectralSloan shim differs from core.SpectralSloan", seed)
+		if !hres.Perm.Equal(wantHybrid) {
+			t.Fatalf("seed %d: Session.Order(SPECTRAL+SLOAN) differs from core.SpectralSloanWS", seed)
 		}
 
 		aopt := envred.AutoOptions{Seed: seed, Parallelism: 4}
-		wantAuto, wantRep, err := pipeline.Auto(g, aopt)
+		wantAuto, wantRep, err := pipeline.Auto(ctx, g, aopt, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		gotAuto, gotRep, err := envred.Auto(g, aopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotAuto.Equal(wantAuto) {
-			t.Fatalf("seed %d: Auto shim differs from pipeline.Auto", seed)
-		}
-		if gotRep.Stats != wantRep.Stats || len(gotRep.Components) != len(wantRep.Components) {
-			t.Fatalf("seed %d: Auto shim report differs", seed)
 		}
 		sres, err := sess.AutoWith(ctx, g, aopt)
 		if err != nil {
@@ -115,8 +101,11 @@ func TestShimEquivalenceGolden(t *testing.T) {
 		if !sres.Perm.Equal(wantAuto) {
 			t.Fatalf("seed %d: Session.AutoWith differs from pipeline.Auto", seed)
 		}
+		if sres.Report.Stats != wantRep.Stats || len(sres.Report.Components) != len(wantRep.Components) {
+			t.Fatalf("seed %d: Session.AutoWith report differs", seed)
+		}
 
-		// Classical orderings: Session.Order vs the historical top-level
+		// Classical orderings: Session.Order vs the stateless top-level
 		// functions.
 		classics := map[string]envred.Perm{
 			envred.AlgRCM:   envred.RCM(g),
@@ -136,18 +125,11 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			}
 		}
 
-		// Weighted spectral: shim vs direct core path.
+		// Weighted spectral: Session vs direct core path.
 		weight := func(u, v int) float64 { return 1 + float64((u*3+v)%5) }
 		wantW, _, err := core.WeightedSpectral(ctx, g, weight, opt)
 		if err != nil {
 			t.Fatal(err)
-		}
-		gotW, _, err := envred.WeightedSpectral(g, weight, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotW.Equal(wantW) {
-			t.Fatalf("seed %d: WeightedSpectral shim differs from core path", seed)
 		}
 		resW, err := sess.OrderWeighted(ctx, g, envred.AlgWeighted, weight)
 		if err != nil {
@@ -351,30 +333,32 @@ func TestSessionConnectedCachePathEquivalence(t *testing.T) {
 	ctx := context.Background()
 	opt := envred.SpectralOptions{Seed: 11}
 
-	wantP, wantInfo, err := core.Spectral(g, opt)
+	ws := scratch.New()
+	wantP, wantInfo, err := core.SpectralWS(ctx, ws, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotP, gotInfo, err := envred.Spectral(g, opt)
+	cached := envred.NewSession(envred.SessionOptions{})
+	got, err := cached.Do(ctx, g, envred.AlgSpectral, envred.OrderRequest{Seed: opt.Seed, Spectral: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotP.Equal(wantP) {
-		t.Fatal("cached connected Spectral shim differs from core.Spectral")
+	if !got.Perm.Equal(wantP) {
+		t.Fatal("cached connected Session SPECTRAL differs from core.SpectralWS")
 	}
-	if gotInfo != wantInfo {
-		t.Fatalf("cached connected Spectral info differs:\n got %+v\nwant %+v", gotInfo, wantInfo)
+	if *got.Info != wantInfo {
+		t.Fatalf("cached connected Session SPECTRAL info differs:\n got %+v\nwant %+v", *got.Info, wantInfo)
 	}
-	wantH, wantHInfo, err := core.SpectralSloan(g, opt)
+	wantH, wantHInfo, err := core.SpectralSloanWS(ctx, ws, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotH, gotHInfo, err := envred.SpectralSloan(g, opt)
+	gotH, err := cached.Do(ctx, g, envred.AlgSpectralSloan, envred.OrderRequest{Seed: opt.Seed, Spectral: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotH.Equal(wantH) || gotHInfo != wantHInfo {
-		t.Fatal("cached connected SpectralSloan shim differs from core path")
+	if !gotH.Perm.Equal(wantH) || *gotH.Info != wantHInfo {
+		t.Fatal("cached connected Session SPECTRAL+SLOAN differs from core path")
 	}
 	sess := envred.NewSession(envred.SessionOptions{Seed: 11})
 	for alg, want := range map[string]envred.Perm{
