@@ -5,12 +5,18 @@
 package envred_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	envred "repro"
+	"repro/internal/core"
 	"repro/internal/envelope"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mm"
+	"repro/internal/order"
+	"repro/internal/scratch"
 )
 
 // benchDisconnected builds a multi-component graph (a union of grids) used
@@ -121,4 +127,60 @@ func BenchmarkAutoSuite(b *testing.B) {
 		})
 	}
 	b.Run("spectral", func(b *testing.B) { run(b, envred.SessionOptions{}) })
+}
+
+// bcsstk30 is BCSSTK30 at a quarter of the paper's size: six degrees of
+// freedom per shell node give it the densest rows of the suite, where the
+// Sloan and King priority queues do the most work.
+func bcsstk30(b *testing.B) *graph.Graph {
+	b.Helper()
+	spec, ok := gen.ByName("BCSSTK30")
+	if !ok {
+		b.Fatal("BCSSTK30 missing from the generated suite")
+	}
+	return spec.Generate(0.25, benchSeed).G
+}
+
+// BenchmarkReadMatrixMarket decodes BCSSTK30's Matrix Market pattern body,
+// the decode every daemon request and every cold library run starts with.
+func BenchmarkReadMatrixMarket(b *testing.B) {
+	var body bytes.Buffer
+	if err := mm.WriteGraph(&body, bcsstk30(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mm.ReadGraph(bytes.NewReader(body.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSloanGK times the orderings that run on the shared indexed
+// vertex queue on BCSSTK30: Sloan, Gibbs–King, and the Sloan refinement of
+// a spectral ordering that SPECTRAL+SLOAN runs after the Fiedler solve.
+func BenchmarkSloanGK(b *testing.B) {
+	g := bcsstk30(b)
+	ws := scratch.New()
+	o, _, err := core.SpectralWS(context.Background(), ws, g, core.Options{Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"sloan", func() { order.SloanWS(ws, g) }},
+		{"gk", func() { order.GK(g) }},
+		{"sloan_refine", func() { core.SloanRefine(g, o) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
+	}
 }

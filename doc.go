@@ -18,13 +18,18 @@
 //   - the spectral ordering itself (Algorithm 1) plus the spectral–Sloan
 //     hybrid the paper's closing section anticipates,
 //   - the classical competitors: reverse Cuthill–McKee, Gibbs–Poole–
-//     Stockmeyer, Gibbs–King, King and Sloan,
+//     Stockmeyer, Gibbs–King, King and Sloan; the last three number
+//     vertices off one indexed priority queue (internal/order) that
+//     updates a key in place instead of pushing a fresh entry,
 //   - envelope parameter computation (size, work, bandwidth, 1-sum, 2-sum,
 //     wavefront), envelope Cholesky and root-free LDLᵀ factorization with
 //     solves, IC(0) incomplete factorization and preconditioned CG,
 //   - a value-weighted variant of the spectral ordering for matrices with
 //     numerical entries,
-//   - Matrix Market and Harwell–Boeing I/O, spy-plot rendering, and
+//   - Matrix Market and Harwell–Boeing I/O (internal/mm: a coordinate
+//     reader that splits and parses entry lines in place, allocating
+//     nothing per line, and a Harwell–Boeing reader that bounds what it
+//     allocates by what the input holds), spy-plot rendering, and
 //     deterministic generators reproducing the paper's 18 test problems by
 //     size and topology class,
 //   - a parallel portfolio ordering engine (Auto) that decomposes the

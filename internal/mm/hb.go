@@ -47,8 +47,10 @@ func parseFortranFormat(s string) (fortranFormat, error) {
 }
 
 // readFixed reads count fixed-width fields laid out f.perLine per card.
+// The result grows with the fields actually read, so a header declaring
+// more than the input holds costs what the input holds.
 func readFixed(br *bufio.Reader, f fortranFormat, count int) ([]string, error) {
-	out := make([]string, 0, count)
+	var out []string
 	for len(out) < count {
 		line, err := br.ReadString('\n')
 		if line == "" && err != nil {
@@ -139,6 +141,10 @@ func ReadHarwellBoeing(r io.Reader) (*graph.Graph, func(u, v int) float64, error
 	if nrow != ncol {
 		return nil, nil, fmt.Errorf("mm: HB matrix is %dx%d, want square", nrow, ncol)
 	}
+	const maxSize = 1<<31 - 1 // graph indices are int32
+	if ncol < 0 || nnz < 0 || ncol > maxSize || nnz > maxSize {
+		return nil, nil, fmt.Errorf("mm: HB sizes %d and %d outside [0, %d]", ncol, nnz, maxSize)
+	}
 	if len(mxtype) != 3 || mxtype[2] == 'E' {
 		return nil, nil, fmt.Errorf("mm: unsupported HB type %q (elemental or malformed)", mxtype)
 	}
@@ -191,6 +197,14 @@ func ReadHarwellBoeing(r io.Reader) (*graph.Graph, func(u, v int) float64, error
 		v, err := strconv.Atoi(s)
 		if err != nil {
 			return nil, nil, fmt.Errorf("mm: bad HB pointer %q", s)
+		}
+		// Pointers index the nnz row entries from 1 and never go back.
+		lo := 1
+		if i > 0 {
+			lo = colPtr[i-1]
+		}
+		if v < lo || v > nnz+1 {
+			return nil, nil, fmt.Errorf("mm: HB pointer %d of column %d not in [%d, %d]", v, i+1, lo, nnz+1)
 		}
 		colPtr[i] = v
 	}

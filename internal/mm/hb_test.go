@@ -1,6 +1,8 @@
 package mm
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -154,4 +156,65 @@ func TestFortranFloat(t *testing.T) {
 			t.Errorf("%q: got %v, want %v", in, got, want)
 		}
 	}
+}
+
+// hbHeader returns the first four cards of an HB file of the given type
+// and sizes, with no RHS.
+func hbHeader(mxtype string, nrow, ncol, nnz int) string {
+	return fmt.Sprintf("crafted\n%14d%14d%14d%14d%14d\n%-14s%14d%14d%14d%14d\n(13I6)          (16I5)          (4E20.12)\n",
+		3, 1, 1, 1, 0, mxtype, nrow, ncol, nnz, 0)
+}
+
+// Short crafted headers once crashed the reader: negative sizes panicked
+// in makeslice, a two-billion-column header died of an out-of-memory
+// error recover cannot catch, and pointers past nnz indexed out of range.
+// Each must now be an error.
+func TestReadHarwellBoeingCraftedHeaders(t *testing.T) {
+	cases := map[string]string{
+		"negative dimensions": hbHeader("RSA", -5, -5, 0),
+		"negative nnz":        hbHeader("RSA", 2, 2, -1) + "     1     1     1\n",
+		"two billion columns": hbHeader("PSA", 2000000000, 2000000000, 0),
+		"pointer past nnz":    hbHeader("PSA", 2, 2, 1) + "     1     9     2\n    1\n",
+		"decreasing pointers": hbHeader("PSA", 3, 3, 2) + "     1     3     2     3\n    2    3\n",
+		"pointer below one":   hbHeader("PSA", 2, 2, 1) + "     1     0     2\n    2\n",
+		"columns past int32":  hbHeader("PSA", 1<<31, 1<<31, 0),
+	}
+	for name, in := range cases {
+		if _, _, err := ReadHarwellBoeing(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzReadHarwellBoeing feeds arbitrary bytes to the Harwell–Boeing
+// reader: every input must give an error or a valid graph with a positive
+// weight on each edge, never a panic.
+func FuzzReadHarwellBoeing(f *testing.F) {
+	for _, seed := range []string{
+		hbRSA,
+		hbPSA,
+		strings.Replace(hbRSA, "RSA", "CSA", 1),
+		hbHeader("RSA", -5, -5, 0),
+		hbHeader("RSA", 2, 2, -1) + "     1     1     1\n",
+		hbHeader("PSA", 2000000000, 2000000000, 0),
+		hbHeader("PSA", 2, 2, 1) + "     1     9     2\n    1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, weight, err := ReadHarwellBoeing(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("invalid graph: %v", err)
+		}
+		for u := 0; u < g.N(); u++ {
+			for _, v := range g.Neighbors(u) {
+				if w := weight(u, int(v)); !(w > 0) {
+					t.Fatalf("weight(%d,%d) = %v, want > 0", u, v, w)
+				}
+			}
+		}
+	})
 }

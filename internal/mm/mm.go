@@ -7,55 +7,84 @@ package mm
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/graph"
 )
 
-// lineReader yields logical lines from r, tolerating the encodings real
-// Matrix Market files arrive in: CRLF line endings (the trailing '\r' is
-// stripped) and files whose final line has no terminating newline. next
-// returns io.EOF after the last line and propagates underlying read errors.
-type lineReader struct {
-	sc *bufio.Scanner
-}
-
-func newLineReader(r io.Reader) *lineReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &lineReader{sc: sc}
-}
-
-func (lr *lineReader) next() (string, error) {
-	if lr.sc.Scan() {
-		return lr.sc.Text(), nil
+// scanErr is the error behind a failed Scan: the read error, or io.EOF at
+// the end of the input.
+func scanErr(sc *bufio.Scanner) error {
+	if err := sc.Err(); err != nil {
+		return err
 	}
-	if err := lr.sc.Err(); err != nil {
-		return "", err
-	}
-	return "", io.EOF
+	return io.EOF
 }
 
-// sizeLine skips blank and comment lines and returns the first content
-// line (the coordinate-format size line).
-func (lr *lineReader) sizeLine() (string, error) {
-	for {
-		line, err := lr.next()
-		if err != nil {
-			return "", fmt.Errorf("mm: missing size line: %w", err)
+// byteClass sorts bytes for splitFields: 0 for the rest of ASCII, 1 for
+// the ASCII white space unicode.IsSpace accepts, 2 for a byte that starts
+// or continues a multi-byte rune, which must be decoded to be classified.
+var byteClass = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = 2
+	}
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = 1
+	}
+	return t
+}()
+
+// splitFields stores the leading white-space-separated fields of line in f
+// and returns how many it stored, at most len(f). Fields are split exactly
+// as strings.Fields splits them, Unicode white space included, but they
+// are sub-slices of line: nothing is allocated.
+func splitFields(line []byte, f *[4][]byte) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); {
+		class, size := byteClass[line[i]], 1
+		if class == 2 {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			class = 0
+			if unicode.IsSpace(r) {
+				class = 1
+			}
 		}
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasPrefix(t, "%") {
-			continue
+		if class == 0 {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			f[n] = line[start:i]
+			n++
+			start = -1
+			if n == len(f) {
+				return n
+			}
 		}
-		return t, nil
+		i += size
 	}
+	if start >= 0 {
+		f[n] = line[start:]
+		n++
+	}
+	return n
 }
+
+// isContent reports whether a line split into n fields f carries data: it
+// is neither blank nor a '%' comment.
+func isContent(f *[4][]byte, n int) bool { return n > 0 && f[0][0] != '%' }
+
+// trimmed is line without its surrounding white space, for error messages.
+func trimmed(line []byte) string { return string(bytes.TrimSpace(line)) }
 
 // ErrTooManyVertices is returned, wrapped, when a size line declares more
 // vertices than the reader's limit.
@@ -92,11 +121,17 @@ func ReadWeighted(r io.Reader) (*graph.Graph, func(u, v int) float64, error) {
 // graph indices are int32) fails with ErrTooManyVertices before anything
 // is allocated for them, so a caller can bound what a short input costs.
 func Read(r io.Reader, weighted bool, maxN int) (*graph.Graph, func(u, v int) float64, error) {
-	lr := newLineReader(r)
-	header, err := lr.next()
-	if err != nil {
-		return nil, nil, fmt.Errorf("mm: reading header: %w", err)
+	// The scanner tolerates the encodings real Matrix Market files arrive
+	// in: CRLF line endings (it strips the '\r') and a final line with no
+	// newline. A line longer than 1 MiB is an error. The buffer starts at
+	// the scanner's 4 KiB and doubles only for a longer line, so a small
+	// request body does not pay for a large buffer.
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	if !sc.Scan() {
+		return nil, nil, fmt.Errorf("mm: reading header: %w", scanErr(sc))
 	}
+	header := sc.Text()
 	fields := strings.Fields(strings.ToLower(header))
 	if len(fields) < 4 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
 		return nil, nil, fmt.Errorf("mm: not a Matrix Market file: %q", strings.TrimSpace(header))
@@ -111,11 +146,23 @@ func Read(r io.Reader, weighted bool, maxN int) (*graph.Graph, func(u, v int) fl
 		return nil, nil, fmt.Errorf("mm: unknown value type %q", valType)
 	}
 	hasValues := valType != "pattern"
+	complexValues := valType == "complex"
 
-	sizeLine, err := lr.sizeLine()
-	if err != nil {
-		return nil, nil, err
+	// Lines are split into sub-slices of the scanner's buffer, and each
+	// field reaches strconv through a string conversion that does not
+	// escape, which the compiler backs with a stack buffer for fields of up
+	// to 32 bytes. So the loops allocate nothing per line.
+	var f [4][]byte
+	var nf int
+	for {
+		if !sc.Scan() {
+			return nil, nil, fmt.Errorf("mm: missing size line: %w", scanErr(sc))
+		}
+		if nf = splitFields(sc.Bytes(), &f); isContent(&f, nf) {
+			break
+		}
 	}
+	sizeLine := trimmed(sc.Bytes())
 	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
 		return nil, nil, fmt.Errorf("mm: bad size line %q: %w", sizeLine, err)
@@ -144,43 +191,41 @@ func Read(r io.Reader, weighted bool, maxN int) (*graph.Graph, func(u, v int) fl
 	read := 0
 	minPos := math.Inf(1)
 	for read < nnz {
-		line, err := lr.next()
-		if err != nil {
-			if err == io.EOF {
-				return nil, nil, fmt.Errorf("mm: expected %d entries, got %d (truncated file?)", nnz, read)
+		if !sc.Scan() {
+			if err := sc.Err(); err != nil {
+				return nil, nil, fmt.Errorf("mm: %w", err)
 			}
-			return nil, nil, fmt.Errorf("mm: %w", err)
+			return nil, nil, fmt.Errorf("mm: expected %d entries, got %d (truncated file?)", nnz, read)
 		}
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasPrefix(t, "%") {
+		line := sc.Bytes()
+		if nf = splitFields(line, &f); !isContent(&f, nf) {
 			continue
 		}
-		f := strings.Fields(t)
-		if len(f) < 2 {
-			return nil, nil, fmt.Errorf("mm: bad entry line %q", t)
+		if nf < 2 {
+			return nil, nil, fmt.Errorf("mm: bad entry line %q", trimmed(line))
 		}
-		i, err1 := strconv.Atoi(f[0])
-		j, err2 := strconv.Atoi(f[1])
+		i, err1 := strconv.Atoi(string(f[0]))
+		j, err2 := strconv.Atoi(string(f[1]))
 		if err1 != nil || err2 != nil {
-			return nil, nil, fmt.Errorf("mm: bad indices in %q", t)
+			return nil, nil, fmt.Errorf("mm: bad indices in %q", trimmed(line))
 		}
 		if i < 1 || i > rows || j < 1 || j > rows {
 			return nil, nil, fmt.Errorf("mm: entry (%d,%d) out of range [1,%d]", i, j, rows)
 		}
 		w := 1.0
 		if hasValues {
-			if len(f) < 3 {
-				return nil, nil, fmt.Errorf("mm: missing value in %q", t)
+			if nf < 3 {
+				return nil, nil, fmt.Errorf("mm: missing value in %q", trimmed(line))
 			}
-			v, err := strconv.ParseFloat(f[2], 64)
+			v, err := strconv.ParseFloat(string(f[2]), 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("mm: bad value in %q: %w", t, err)
+				return nil, nil, fmt.Errorf("mm: bad value in %q: %w", trimmed(line), err)
 			}
 			w = math.Abs(v)
-			if valType == "complex" && len(f) >= 4 {
-				im, err := strconv.ParseFloat(f[3], 64)
+			if complexValues && nf >= 4 {
+				im, err := strconv.ParseFloat(string(f[3]), 64)
 				if err != nil {
-					return nil, nil, fmt.Errorf("mm: bad imaginary part in %q: %w", t, err)
+					return nil, nil, fmt.Errorf("mm: bad imaginary part in %q: %w", trimmed(line), err)
 				}
 				w = math.Hypot(v, im)
 			}
@@ -221,25 +266,24 @@ func Read(r io.Reader, weighted bool, maxN int) (*graph.Graph, func(u, v int) fl
 func WriteGraph(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
 	n := g.N()
-	nnz := g.M() + n
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate pattern symmetric\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%% generated by repro (spectral envelope reduction)\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", n, n, nnz); err != nil {
-		return err
+	fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate pattern symmetric\n%% generated by repro (spectral envelope reduction)\n%d %d %d\n", n, n, g.M()+n)
+	// Each entry is formatted straight into the writer's free space,
+	// flushed first when less than a line's worth is left, so no entry
+	// allocates. A write error sticks in bw and the final Flush reports it.
+	const maxLine = 2*20 + 2 // two 20-byte integers, a space and a newline
+	entry := func(i, j int) {
+		if bw.Available() < maxLine {
+			bw.Flush()
+		}
+		buf := strconv.AppendInt(bw.AvailableBuffer(), int64(i), 10)
+		buf = strconv.AppendInt(append(buf, ' '), int64(j), 10)
+		bw.Write(append(buf, '\n'))
 	}
 	for v := 0; v < n; v++ {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", v+1, v+1); err != nil {
-			return err
-		}
+		entry(v+1, v+1)
 		for _, u := range g.Neighbors(v) {
 			if int(u) < v { // store lower triangle: row v, col u < v
-				if _, err := fmt.Fprintf(bw, "%d %d\n", v+1, u+1); err != nil {
-					return err
-				}
+				entry(v+1, int(u)+1)
 			}
 		}
 	}

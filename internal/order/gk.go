@@ -1,8 +1,6 @@
 package order
 
 import (
-	"container/heap"
-
 	"repro/internal/graph"
 	"repro/internal/perm"
 )
@@ -50,16 +48,23 @@ func GKFromDiameter(g *graph.Graph, u, v int, lsU, lsV *graph.LevelStructure) pe
 // exact number of vertices that numbering w would add to the front. Placing
 // a vertex moves its unnumbered neighbors into the front, which decrements
 // grow for *their* neighbors; each edge is touched O(1) times overall, so
-// the total maintenance cost is O(m) plus heap traffic.
+// the total maintenance cost is O(m) plus queue traffic.
+//
+// The queue holds the unnumbered front vertices keyed by grow: all of them
+// for King, only those of the level being numbered for GK. Each decrement
+// is sifted the moment it happens.
 type kingState struct {
 	g        *graph.Graph
 	numbered []bool
 	inFront  []bool
 	grow     []int32
 	order    []int32
+	q        vertexQueue
+	levelOf  []int32 // GK's combined level of each vertex; nil for King
+	level    int32   // the level GK is numbering, −1 before the first
 }
 
-func newKingState(g *graph.Graph) *kingState {
+func newKingState(g *graph.Graph, levelOf []int32) *kingState {
 	n := g.N()
 	ks := &kingState{
 		g:        g,
@@ -67,16 +72,18 @@ func newKingState(g *graph.Graph) *kingState {
 		inFront:  make([]bool, n),
 		grow:     make([]int32, n),
 		order:    make([]int32, 0, n),
+		levelOf:  levelOf,
+		level:    -1,
 	}
 	for v := 0; v < n; v++ {
 		ks.grow[v] = int32(g.Degree(v))
 	}
+	ks.q = newVertexQueue(g, ks.grow, make([]int32, n), make([]int32, n))
 	return ks
 }
 
-// place numbers v, updating the front and the grow counters. It returns
-// the vertices whose grow value changed (for heap re-push).
-func (ks *kingState) place(v int32, touched *[]int32) {
+// place numbers v, updating the front, the grow counters and the queue.
+func (ks *kingState) place(v int32) {
 	g := ks.g
 	ks.numbered[v] = true
 	wasInFront := ks.inFront[v]
@@ -87,8 +94,7 @@ func (ks *kingState) place(v int32, touched *[]int32) {
 		// grow, so remove it now.
 		for _, w := range g.Neighbors(int(v)) {
 			if !ks.numbered[w] {
-				ks.grow[w]--
-				*touched = append(*touched, w)
+				ks.shrink(w)
 			}
 		}
 	}
@@ -99,43 +105,23 @@ func (ks *kingState) place(v int32, touched *[]int32) {
 		// u enters the front: u no longer counts toward grow of its
 		// unnumbered neighbors.
 		ks.inFront[u] = true
-		*touched = append(*touched, u)
+		if ks.levelOf == nil || ks.levelOf[u] == ks.level {
+			ks.q.push(u)
+		}
 		for _, x := range g.Neighbors(int(u)) {
 			if !ks.numbered[x] {
-				ks.grow[x]--
-				*touched = append(*touched, x)
+				ks.shrink(x)
 			}
 		}
 	}
 }
 
-// kingItem is a lazily-invalidated heap entry ordered by (grow, degree,
-// label).
-type kingItem struct {
-	grow int32
-	deg  int32
-	v    int32
-}
-
-type kingHeap []kingItem
-
-func (h kingHeap) Len() int { return len(h) }
-func (h kingHeap) Less(i, j int) bool {
-	if h[i].grow != h[j].grow {
-		return h[i].grow < h[j].grow
+// shrink decrements grow[w] and, if w is queued, sifts it at once.
+func (ks *kingState) shrink(w int32) {
+	ks.grow[w]--
+	if ks.q.queued(w) {
+		ks.q.fix(w)
 	}
-	if h[i].deg != h[j].deg {
-		return h[i].deg < h[j].deg
-	}
-	return h[i].v < h[j].v
-}
-func (h kingHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *kingHeap) Push(x any)   { *h = append(*h, x.(kingItem)) }
-func (h *kingHeap) Pop() any {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
 }
 
 // numberByKing numbers the combined level structure level by level; inside
@@ -144,72 +130,41 @@ func (h *kingHeap) Pop() any {
 // the one whose numbering introduces the fewest new vertices into the
 // front — King's greedy wavefront rule. Ties break by degree then label.
 func numberByKing(g *graph.Graph, c *combined) []int32 {
-	ks := newKingState(g)
-	var touched []int32
-	ks.place(int32(c.start), &touched)
+	ks := newKingState(g, c.levelOf)
+	ks.place(int32(c.start))
 
 	for l := 0; l < c.k; l++ {
+		// The queue is empty here: it only ever holds unnumbered vertices
+		// of the level being numbered, and the previous level is done.
 		level := c.levels[l]
-		inLevel := func(w int32) bool { return c.levelOf[w] == int32(l) }
+		ks.level = int32(l)
 		remaining := 0
-		h := make(kingHeap, 0, len(level))
 		for _, w := range level {
 			if !ks.numbered[w] {
 				remaining++
 				if ks.inFront[w] {
-					h = append(h, kingItem{ks.grow[w], int32(g.Degree(int(w))), w})
+					ks.q.push(w)
 				}
 			}
 		}
-		heap.Init(&h)
-		for remaining > 0 {
+		for ; remaining > 0; remaining-- {
 			var pick int32 = -1
-			for h.Len() > 0 {
-				it := heap.Pop(&h).(kingItem)
-				if ks.numbered[it.v] || !ks.inFront[it.v] || ks.grow[it.v] != it.grow {
-					continue // stale entry
-				}
-				pick = it.v
-				break
-			}
-			if pick < 0 {
+			if ks.q.len() > 0 {
+				pick = ks.q.pop()
+			} else {
 				// The front does not reach this level (level-internal
-				// disconnection): seed with the min-(grow,deg) remaining
-				// level vertex.
+				// disconnection): seed with the queue-order minimum of the
+				// remaining level vertices.
 				for _, w := range level {
-					if ks.numbered[w] {
-						continue
-					}
-					if pick < 0 || ks.grow[w] < ks.grow[pick] ||
-						(ks.grow[w] == ks.grow[pick] && better(g, w, pick)) {
+					if !ks.numbered[w] && (pick < 0 || ks.q.less(w, pick)) {
 						pick = w
 					}
 				}
 			}
-			touched = touched[:0]
-			ks.place(pick, &touched)
-			remaining--
-			for _, w := range touched {
-				if !ks.numbered[w] && ks.inFront[w] && inLevel(w) {
-					heap.Push(&h, kingItem{ks.grow[w], int32(g.Degree(int(w))), w})
-				}
-			}
+			ks.place(pick)
 		}
 	}
 	return ks.order
-}
-
-// better is the shared tie-break: lower degree, then lower label. A
-// negative incumbent always loses.
-func better(g *graph.Graph, w, incumbent int32) bool {
-	if incumbent < 0 {
-		return true
-	}
-	dw, di := g.Degree(int(w)), g.Degree(int(incumbent))
-	if dw != di {
-		return dw < di
-	}
-	return w < incumbent
 }
 
 // King computes King's profile-reduction ordering on the whole graph
@@ -237,35 +192,12 @@ func KingFromRoot(g *graph.Graph, root int) perm.Perm {
 
 func kingRooted(g *graph.Graph, root int) []int32 {
 	n := g.N()
-	ks := newKingState(g)
-	var touched []int32
-	h := make(kingHeap, 0, n)
-	ks.place(int32(root), &touched)
-	for _, w := range touched {
-		if !ks.numbered[w] && ks.inFront[w] {
-			heap.Push(&h, kingItem{ks.grow[w], int32(g.Degree(int(w))), w})
-		}
-	}
-	for len(ks.order) < n {
-		var pick int32 = -1
-		for h.Len() > 0 {
-			it := heap.Pop(&h).(kingItem)
-			if ks.numbered[it.v] || !ks.inFront[it.v] || ks.grow[it.v] != it.grow {
-				continue
-			}
-			pick = it.v
-			break
-		}
-		if pick < 0 {
-			break // disconnected remainder; overComponents prevents this
-		}
-		touched = touched[:0]
-		ks.place(pick, &touched)
-		for _, w := range touched {
-			if !ks.numbered[w] && ks.inFront[w] {
-				heap.Push(&h, kingItem{ks.grow[w], int32(g.Degree(int(w))), w})
-			}
-		}
+	ks := newKingState(g, nil)
+	ks.place(int32(root))
+	// An empty queue before n vertices are numbered means a disconnected
+	// remainder, which overComponents prevents.
+	for len(ks.order) < n && ks.q.len() > 0 {
+		ks.place(ks.q.pop())
 	}
 	reverse(ks.order)
 	return ks.order

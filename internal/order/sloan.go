@@ -57,70 +57,6 @@ const (
 	sloanNumbered
 )
 
-type sloanItem struct {
-	prio int32
-	deg  int32
-	v    int32
-}
-
-// sloanHeap is a typed max-heap on (priority, −degree, −label). It
-// re-implements the sift operations of container/heap to avoid the
-// interface boxing of heap.Push/Pop, which allocated once per push on the
-// hottest loop of the algorithm.
-type sloanHeap []sloanItem
-
-func (h sloanHeap) less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio // max-heap on priority
-	}
-	if h[i].deg != h[j].deg {
-		return h[i].deg < h[j].deg
-	}
-	return h[i].v < h[j].v
-}
-
-func (h *sloanHeap) push(it sloanItem) {
-	*h = append(*h, it)
-	// Sift up.
-	s := *h
-	j := len(s) - 1
-	for j > 0 {
-		parent := (j - 1) / 2
-		if !s.less(j, parent) {
-			break
-		}
-		s[j], s[parent] = s[parent], s[j]
-		j = parent
-	}
-}
-
-func (h *sloanHeap) pop() sloanItem {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s) && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(s) && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
-}
-
 // sloanComponentInto runs Sloan's numbering on a connected graph, appending
 // to out. dist holds the global term (distance to the end vertex in classic
 // Sloan; scaled spectral ranks in the hybrid); start is the first vertex
@@ -130,43 +66,31 @@ func sloanComponentInto(ws *scratch.Workspace, g *graph.Graph, start int, dist [
 	m := ws.Mark()
 	defer ws.Release(m)
 	status := ws.Int32s(n)
-	// prio[v] = W1·dist[v] − W2·(cdeg(v)+1); cdeg decrements are folded in
-	// as +W2 bumps, matching Sloan's published update rules.
-	prio := ws.Int32s(n)
+	// key[v] is minus the priority W1·dist[v] − W2·(cdeg(v)+1), so the
+	// queue's smallest key is the highest priority; cdeg decrements are
+	// folded in as −W2 bumps, matching Sloan's published update rules.
+	key := ws.Int32s(n)
 	for v := 0; v < n; v++ {
 		status[v] = sloanInactive
-		prio[v] = w.W1*dist[v] - w.W2*int32(g.Degree(v)+1)
+		key[v] = w.W2*int32(g.Degree(v)+1) - w.W1*dist[v]
 	}
+	// The queue holds exactly the pre-active and active vertices.
+	q := newVertexQueue(g, key, ws.Int32s(n), ws.Int32s(n))
 	first := len(out)
-	h := make(sloanHeap, 0, n)
 
-	push := func(v int32) {
-		h.push(sloanItem{prio[v], int32(g.Degree(int(v))), v})
-	}
-	bump := func(v int32, delta int32) {
-		prio[v] += delta
-		if status[v] == sloanPreactive || status[v] == sloanActive {
-			push(v)
+	bump := func(v int32) {
+		key[v] -= w.W2
+		if q.queued(v) {
+			q.fix(v)
 		}
 	}
 
 	status[start] = sloanPreactive
-	push(int32(start))
-	for len(out)-first < n {
-		// Pop the highest-priority pre-active/active vertex, skipping stale
-		// entries.
-		var v int32 = -1
-		for len(h) > 0 {
-			it := h.pop()
-			if status[it.v] == sloanNumbered || prio[it.v] != it.prio {
-				continue
-			}
-			v = it.v
-			break
-		}
-		if v < 0 {
-			break // disconnected remainder; callers order per component
-		}
+	q.push(int32(start))
+	// An empty queue before n vertices are numbered means a disconnected
+	// remainder; callers order per component.
+	for len(out)-first < n && q.len() > 0 {
+		v := q.pop()
 		if status[v] == sloanPreactive {
 			// Numbering a pre-active vertex makes its neighbors pre-active
 			// and bumps their priority (their current degree drops).
@@ -174,10 +98,10 @@ func sloanComponentInto(ws *scratch.Workspace, g *graph.Graph, start int, dist [
 				if status[u] == sloanNumbered {
 					continue
 				}
-				bump(u, w.W2)
+				bump(u)
 				if status[u] == sloanInactive {
 					status[u] = sloanPreactive
-					push(u)
+					q.push(u)
 				}
 			}
 		}
@@ -190,15 +114,15 @@ func sloanComponentInto(ws *scratch.Workspace, g *graph.Graph, start int, dist [
 				continue
 			}
 			status[u] = sloanActive
-			bump(u, w.W2)
+			bump(u)
 			for _, x := range g.Neighbors(int(u)) {
 				if status[x] == sloanNumbered || x == v {
 					continue
 				}
-				bump(x, w.W2)
+				bump(x)
 				if status[x] == sloanInactive {
 					status[x] = sloanPreactive
-					push(x)
+					q.push(x)
 				}
 			}
 		}
