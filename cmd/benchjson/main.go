@@ -13,19 +13,25 @@
 // track the performance trajectory across PRs:
 //
 //	{
-//	  "schema": "repro/bench_pipeline/v2",
+//	  "schema": "repro/bench_pipeline/v3",
 //	  "baseline": [ {benchmark...} ],   // pre-PR reference, carried forward
 //	  "benchmarks": [
 //	    {"name": "...", "iterations": N,
 //	     "ns_per_op": f, "bytes_per_op": f, "allocs_per_op": f,
 //	     "metrics": {"envelope": f, "matvecs/solve": f, ...}}
 //	  ],
-//	  "gates": {"zero_alloc": [...], "required": [...]}  // enforced gates
+//	  "gates": {"zero_alloc": [...], "required": [...]},  // enforced gates
+//	  "host": {"goos": "linux", "goarch": "amd64", "cpu": "...",
+//	           "gomaxprocs": N, "num_cpu": N, "goamd64": "v1"}
 //	}
 //
 // v2 adds the "gates" record (which gates this artifact was produced
 // under) and the eigensolver rows: the BenchmarkEigensolver multilevel-vs-
 // Lanczos ablation reports a matvecs/solve metric alongside wall clock.
+// v3 adds the "host" record: the goos, goarch and cpu header lines go test
+// prints, GOMAXPROCS read from the -N suffix of the benchmark names (the
+// largest one; go test prints none when GOMAXPROCS is 1), benchjson's own
+// runtime.NumCPU() and GOAMD64 from the environment (default v1).
 //
 // -zero-alloc takes a comma-separated list of regular expressions; each
 // pattern must match at least one benchmark (so a renamed or missing
@@ -34,10 +40,12 @@
 // keeps the fused kernels allocation-free. -require takes the same kind of
 // list without the allocation condition: each pattern must match at least
 // one benchmark row, the presence gate that keeps the eigensolver ablation
-// from silently dropping out of the artifact. -baseline carries the pre-PR
-// reference record forward: if the given file has a non-empty "baseline"
-// it is preserved verbatim, otherwise its "benchmarks" become the
-// baseline.
+// from silently dropping out of the artifact. A row whose name holds
+// "/parallel/" and that reports a "workers" metric below 2 fails the run
+// too, so a one-core run cannot pass for a parallel one. -baseline carries
+// the pre-PR reference record forward: if the given file has a non-empty
+// "baseline" it is preserved verbatim, otherwise its "benchmarks" become
+// the baseline.
 package main
 
 import (
@@ -48,6 +56,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -69,35 +78,67 @@ type Gates struct {
 	Required  []string `json:"required,omitempty"`
 }
 
+// Host records the machine the benchmarks ran on, so that a number is
+// never read without the cores behind it.
+type Host struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the largest -N suffix go test put on a benchmark name
+	// (1 when there is none).
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// NumCPU is runtime.NumCPU() of the benchjson process.
+	NumCPU int `json:"num_cpu"`
+	// GOAMD64 is the environment's GOAMD64, v1 when unset.
+	GOAMD64 string `json:"goamd64"`
+}
+
 // File is the versioned artifact schema.
 type File struct {
 	Schema     string      `json:"schema"`
 	Baseline   []Benchmark `json:"baseline,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	Gates      *Gates      `json:"gates,omitempty"`
+	Host       *Host       `json:"host,omitempty"`
 }
 
-const schemaVersion = "repro/bench_pipeline/v2"
+const schemaVersion = "repro/bench_pipeline/v3"
 
 // The optional -N suffix is the GOMAXPROCS tag go test appends; the lazy
-// name match keeps it out of the recorded benchmark name.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+// name match keeps it out of the recorded benchmark name and into Host.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
-func parse(r io.Reader) ([]Benchmark, error) {
+// parse reads the benchmark rows and the host header lines of go test
+// output.
+func parse(r io.Reader) ([]Benchmark, Host, error) {
 	var out []Benchmark
+	host := Host{GOMAXPROCS: 1}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// header keeps the first value of a "prefix value" header line.
+	header := func(line, prefix string, field *string) {
+		if v, ok := strings.CutPrefix(line, prefix); ok && *field == "" {
+			*field = strings.TrimSpace(v)
+		}
+	}
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		header(line, "goos: ", &host.GOOS)
+		header(line, "goarch: ", &host.GOARCH)
+		header(line, "cpu: ", &host.CPU)
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		iters, err := strconv.ParseInt(m[3], 10, 64)
 		if err != nil {
 			continue
 		}
+		if procs, err := strconv.Atoi(m[2]); err == nil && procs > host.GOMAXPROCS {
+			host.GOMAXPROCS = procs
+		}
 		b := Benchmark{Name: m[1], Iterations: iters}
-		fields := strings.Fields(m[3])
+		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -119,7 +160,12 @@ func parse(r io.Reader) ([]Benchmark, error) {
 		}
 		out = append(out, b)
 	}
-	return out, sc.Err()
+	host.NumCPU = runtime.NumCPU()
+	host.GOAMD64 = os.Getenv("GOAMD64")
+	if host.GOAMD64 == "" {
+		host.GOAMD64 = "v1"
+	}
+	return out, host, sc.Err()
 }
 
 func loadBaseline(path string) []Benchmark {
@@ -156,7 +202,7 @@ func main() {
 		defer f.Close()
 		src = f
 	}
-	benches, err := parse(src)
+	benches, host, err := parse(src)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: parsing: %v\n", err)
 		os.Exit(2)
@@ -166,7 +212,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	file := File{Schema: schemaVersion, Benchmarks: benches}
+	file := File{Schema: schemaVersion, Benchmarks: benches, Host: &host}
 	if *baseline != "" {
 		file.Baseline = loadBaseline(*baseline)
 	}
@@ -195,6 +241,9 @@ func main() {
 		ok = false
 	} else if n > 0 {
 		fmt.Printf("benchjson: %d presence gates passed\n", n)
+	}
+	if !parallelRowsParallel(benches) {
+		ok = false
 	}
 	if !ok {
 		os.Exit(1)
@@ -246,4 +295,18 @@ func runGates(name, patterns string, benches []Benchmark, checkAllocs bool) (int
 		total += matched
 	}
 	return total, ok
+}
+
+// parallelRowsParallel reports whether every "/parallel/" row that reports
+// a "workers" metric ran with at least two workers, naming each one that
+// did not.
+func parallelRowsParallel(benches []Benchmark) bool {
+	ok := true
+	for _, b := range benches {
+		if w, has := b.Metrics["workers"]; has && strings.Contains(b.Name, "/parallel/") && w < 2 {
+			fmt.Fprintf(os.Stderr, "benchjson: %s ran with %g worker(s); a parallel row needs at least 2\n", b.Name, w)
+			ok = false
+		}
+	}
+	return ok
 }

@@ -13,8 +13,9 @@
 //     with uniform statistics (matvecs, RQI iterations, Jacobi sweeps,
 //     hierarchy depth, residual, convergence) implemented by a Lanczos
 //     solver, the multilevel Fiedler scheme of §3 (maximal-independent-set
-//     contraction, interpolation, Rayleigh Quotient Iteration with MINRES
-//     inner solves) and standalone RQI refinement,
+//     contraction, interpolation, an LOBPCG minimization step, Rayleigh
+//     Quotient Iteration with MINRES inner solves) and standalone RQI
+//     refinement,
 //   - the spectral ordering itself (Algorithm 1) plus the spectral–Sloan
 //     hybrid the paper's closing section anticipates,
 //   - the classical competitors: reverse Cuthill–McKee, Gibbs–Poole–
@@ -185,9 +186,9 @@
 // SolveStats, error) implemented by the direct Lanczos solver, the §3
 // multilevel scheme and standalone RQI, with the context checked in the
 // restart and V-cycle loops so cancellation and budgets interrupt real
-// work. SpectralOptions.Method picks the scheme
-// (MethodAuto crosses from Lanczos to multilevel above
-// SpectralOptions.AutoThreshold, default 2000 vertices), and every layer
+// work. SpectralOptions.Method picks the scheme (MethodAuto runs the
+// multilevel solver, with an LOBPCG minimization step before each level's
+// RQI, at every size; MethodLanczos forces direct Lanczos), and every layer
 // reports the same SolveStats record: SpectralInfo.Solve for the ordering
 // entry points, AutoReport.Solve plus a per-spectral-candidate copy for
 // the portfolio engine, and a matvecs column in the harness tables.

@@ -39,31 +39,6 @@ func TestMultilevelMatVecsInstrumented(t *testing.T) {
 	}
 }
 
-// Options.AutoThreshold moves the Lanczos↔multilevel crossover: a graph
-// below the default threshold switches to the multilevel scheme when the
-// threshold is lowered beneath its size, and the default behavior is
-// unchanged when the field is zero.
-func TestAutoThresholdConfigurable(t *testing.T) {
-	g := graph.Grid(25, 20) // n = 500 < default 2000
-	_, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Multilevel {
-		t.Fatal("default threshold sent a 500-vertex graph to the multilevel solver")
-	}
-	_, info, err = SpectralWS(context.Background(), scratch.New(), g, Options{AutoThreshold: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Multilevel {
-		t.Fatal("AutoThreshold=100 did not send a 500-vertex graph to the multilevel solver")
-	}
-	if info.MatVecs == 0 {
-		t.Fatal("multilevel crossover run reports 0 MatVecs")
-	}
-}
-
 // The partial-convergence bugfix must propagate to Info: a starved
 // multilevel coarsest solve surfaces Converged=false through Info.Solve
 // while still producing a valid ordering.

@@ -1,10 +1,11 @@
 // Package core implements the paper's primary contribution: the spectral
 // envelope-reduction ordering (Algorithm 1). Given a sparse symmetric
 // matrix pattern it forms the Laplacian of the adjacency graph, computes a
-// second Laplacian eigenvector (Fiedler vector) — directly with Lanczos for
-// small graphs or via the multilevel scheme of §3 for large ones — sorts
-// the eigenvector components in both directions, and keeps the permutation
-// with the smaller envelope.
+// second Laplacian eigenvector (Fiedler vector) with the multilevel scheme
+// of §3 at every size (graphs of at most CoarsestSize vertices go straight
+// to its coarsest Lanczos solve; MethodLanczos forces direct Lanczos
+// instead), sorts the eigenvector components in both directions, and keeps
+// the permutation with the smaller envelope.
 //
 // Theorem 2.3's guarantee, that the rank permutation of the eigenvector is
 // the closest permutation vector to it, is exercised in this package's
@@ -32,30 +33,24 @@ import (
 type Method int
 
 const (
-	// MethodAuto uses direct Lanczos below AutoThreshold vertices and the
-	// multilevel scheme above — the paper's practical configuration.
+	// MethodAuto runs the §3 multilevel scheme at every size — the paper's
+	// practical configuration. Components of at most CoarsestSize vertices
+	// (default 100) build no hierarchy and go straight to its coarsest
+	// Lanczos solve.
 	MethodAuto Method = iota
 	// MethodLanczos forces the direct Lanczos solver.
 	MethodLanczos
-	// MethodMultilevel forces the multilevel solver.
+	// MethodMultilevel names MethodAuto's solver explicitly.
 	MethodMultilevel
 )
-
-// AutoThreshold is the default component size at which MethodAuto switches
-// from direct Lanczos to the multilevel scheme. Options.AutoThreshold
-// overrides it per run.
-const AutoThreshold = 2000
 
 // Options configures the spectral ordering.
 type Options struct {
 	// Method picks the eigensolver (default MethodAuto).
 	Method Method
-	// AutoThreshold overrides the component size at which MethodAuto
-	// switches from direct Lanczos to the multilevel scheme (0 = the
-	// AutoThreshold default). The portfolio engine and the benchmarks use
-	// it to ablate the crossover.
-	AutoThreshold int
-	// Lanczos configures the direct solver.
+	// Lanczos configures the direct solver, which only MethodLanczos and
+	// WeightedSpectral run. The multilevel solver's coarsest solve reads
+	// Multilevel.Lanczos instead.
 	Lanczos lanczos.Options
 	// Multilevel configures the multilevel solver.
 	Multilevel multilevel.Options
@@ -70,42 +65,27 @@ type Options struct {
 	Operator laplacian.Interface
 }
 
-func (o Options) threshold() int {
-	if o.AutoThreshold > 0 {
-		return o.AutoThreshold
-	}
-	return AutoThreshold
-}
-
-// Solver resolves the eigensolver Options select for an n-vertex connected
-// component, with seeds defaulted from Options.Seed. This is the single
-// construction point of the unified solver engine: SpectralWS, the
-// pipeline's artifact cache and the ablation benchmarks all go through it.
-func (o Options) Solver(n int) solver.Solver {
-	useML := false
-	switch o.Method {
-	case MethodMultilevel:
-		useML = true
-	case MethodLanczos:
-		useML = false
-	default:
-		useML = n > o.threshold()
-	}
-	if useML {
-		mlOpt := o.Multilevel
-		if mlOpt.Seed == 0 {
-			mlOpt.Seed = o.Seed
+// Solver resolves the eigensolver Options select, with seeds defaulted from
+// Options.Seed: direct Lanczos for MethodLanczos, the multilevel solver
+// otherwise. This is the single construction point of the unified solver
+// engine: SpectralWS, the pipeline's artifact cache and the ablation
+// benchmarks all go through it.
+func (o Options) Solver() solver.Solver {
+	if o.Method == MethodLanczos {
+		lOpt := o.Lanczos
+		if lOpt.Seed == 0 {
+			lOpt.Seed = o.Seed
 		}
-		if mlOpt.Lanczos.Seed == 0 {
-			mlOpt.Lanczos.Seed = o.Seed
-		}
-		return solver.Multilevel{Opt: mlOpt, Op: o.Operator}
+		return solver.Lanczos{Opt: lOpt, Op: o.Operator}
 	}
-	lOpt := o.Lanczos
-	if lOpt.Seed == 0 {
-		lOpt.Seed = o.Seed
+	mlOpt := o.Multilevel
+	if mlOpt.Seed == 0 {
+		mlOpt.Seed = o.Seed
 	}
-	return solver.Lanczos{Opt: lOpt, Op: o.Operator}
+	if mlOpt.Lanczos.Seed == 0 {
+		mlOpt.Lanczos.Seed = o.Seed
+	}
+	return solver.Multilevel{Opt: mlOpt, Op: o.Operator}
 }
 
 // Info reports diagnostics of a spectral ordering run.
@@ -224,12 +204,11 @@ func SpectralWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt 
 // through the eigensolve test hook). The returned vector is freshly
 // allocated and safe to retain; ws is used only for scratch.
 func FiedlerConnectedWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) ([]float64, solver.Stats, error) {
-	n := g.N()
 	eigensolveCount.Add(1)
 	if testHookEigensolve != nil {
-		testHookEigensolve(n)
+		testHookEigensolve(g.N())
 	}
-	return opt.Solver(n).Solve(ctx, ws, g)
+	return opt.Solver().Solve(ctx, ws, g)
 }
 
 // OrderFiedler is Algorithm 1 step 3 on a precomputed Fiedler vector of the

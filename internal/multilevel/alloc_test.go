@@ -44,19 +44,20 @@ func newRefineFixture(side int) *refineFixture {
 	}
 }
 
-// refine runs one interpolate + smooth + RQI step — the steady-state body
-// of the multilevel V-cycle.
+// refine runs one interpolate + smooth + LOBPCG + RQI step — the
+// steady-state body of the multilevel V-cycle.
 func (f *refineFixture) refine() {
 	f.c.InterpolateInto(f.x, f.coarseX)
 	linalg.ProjectOutOnes(f.x)
 	linalg.Normalize(f.x)
 	JacobiSmoothWS(f.ws, f.g, f.op, f.x, 3)
+	lobpcgWS(f.ws, f.g, f.op, f.x)
 	rqiRefine(context.Background(), f.ws, f.op, f.x, RQIOptions{MaxIter: 2}, f.shifted)
 }
 
 // The V-cycle refinement must run with zero steady-state allocations once
-// the workspace arenas are warm: interpolation, smoothing and RQI
-// (including the MINRES inner solves) all draw from the workspace.
+// the workspace arenas are warm: interpolation, smoothing, the LOBPCG step
+// and RQI (including the MINRES inner solves) all draw from the workspace.
 func TestRefineSteadyStateAllocs(t *testing.T) {
 	// Below laplacian's parallel threshold so Apply spawns no goroutines.
 	f := newRefineFixture(40)

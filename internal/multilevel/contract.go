@@ -5,7 +5,17 @@
 // Iteration refinement with MINRES inner solves.
 //
 // The coarsest graph (below CoarsestSize vertices) is solved directly with
-// Lanczos; the eigenvector is then carried back up the hierarchy.
+// Lanczos; the eigenvector is then carried back up the hierarchy. At every
+// finer level the interpolated vector is Jacobi-smoothed, then minimized by
+// a block-size-one LOBPCG step (Knyazev 2001): each step minimizes the
+// Rayleigh quotient over span{x, D⁻¹r, p} on 𝟏⊥, with D the Laplacian's
+// diagonal, r the residual and p the previous direction, at one matvec a
+// step, until ‖Lx − ρx‖ ≤ 10⁻²·ρ or 50 steps. Only then does RQI polish
+// it. RQI converges to the eigenvalue nearest its start, and a smoothed
+// interpolant can sit nearer λ3 or λ4 than λ2 (POW9 at scale 0.5 ended on
+// an eigenvalue eight times λ2 without the step); the minimization puts the
+// start in λ2's basin. Where λ3 lies within a few percent of λ2 the solve
+// may still settle on λ3.
 //
 // The solver is workspace-threaded: FiedlerWS, ContractWS and RQIOnWS draw
 // every per-level structure (coarse CSR arrays, domain maps, iterate and

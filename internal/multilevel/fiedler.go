@@ -213,6 +213,7 @@ func FiedlerWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt O
 		}
 		res.MatVecs += JacobiSmoothWS(ws, fineG, fineOp, x, opt.SmoothSteps)
 		res.JacobiSweeps += opt.SmoothSteps
+		res.MatVecs += lobpcgWS(ws, fineG, fineOp, x)
 		rr := rqiRefine(ctx, ws, fineOp, x, opt.RQI, shifted)
 		res.RQIIterations += rr.Iterations
 		res.MatVecs += rr.MatVecs

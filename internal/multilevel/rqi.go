@@ -20,7 +20,9 @@ func ctxErr(ctx context.Context) error {
 // RQIOptions configures the Rayleigh Quotient Iteration refinement.
 type RQIOptions struct {
 	// MaxIter caps the RQI steps per level; cubic convergence means "one or
-	// perhaps two iterations" usually suffice (paper §3). Default 4.
+	// perhaps two iterations" usually suffice (paper §3). Default 8: where
+	// λ2 and λ3 lie within a percent of each other, a start mixing their
+	// eigenvectors can take six steps to settle on one of them.
 	MaxIter int
 	// Tol is the relative residual target ‖Lx − ρx‖ ≤ Tol·scale. Default 1e-7.
 	Tol float64
@@ -32,7 +34,7 @@ type RQIOptions struct {
 
 func (o *RQIOptions) setDefaults() {
 	if o.MaxIter == 0 {
-		o.MaxIter = 4
+		o.MaxIter = 8
 	}
 	if o.Tol == 0 {
 		o.Tol = 1e-7

@@ -262,12 +262,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, tnt *te
 		return
 	}
 	j := &job{id: newJobID(), tenant: tnt, req: req, n: req.items[0].g.N(), created: time.Now(), state: jobQueued}
+	// The reply is taken before a worker can see the job: a job answered
+	// from a warm cache may finish before this handler writes, and a 202
+	// always reports the job queued.
+	doc := j.status()
 	if aerr := s.submitJob(j); aerr != nil {
 		writeError(w, aerr)
 		return
 	}
 	s.logf("job %s submitted tenant=%s algorithm=%s n=%d", j.id, tnt.name, req.algorithm, j.n)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, doc)
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request, tnt *tenant) {

@@ -227,6 +227,11 @@ func (s *Session) AutoWith(ctx context.Context, g *Graph, opt AutoOptions) (Resu
 // session's eigensolver options, reporting the uniform solver statistics
 // (λ2 in Stats.Lambda). Repeated calls on the same graph are served from
 // the session's artifact cache — the eigensolve runs once.
+//
+// The vector returned is λ2's, unless λ3 lies within a few percent of λ2:
+// then the default multilevel solver may return λ3's eigenvector instead
+// (Stats.Lambda is the eigenvalue of the vector returned).
+// SessionOptions.Spectral.Method = MethodLanczos selects the direct solver.
 func (s *Session) Fiedler(ctx context.Context, g *Graph) ([]float64, SolveStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
