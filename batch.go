@@ -60,7 +60,6 @@ type orderBatch struct {
 	name    string
 	seed    int64
 	sopt    SpectralOptions
-	fast    bool // batch-eligible for the cached-SPECTRAL fast path
 	graphs  []*Graph
 	results []BatchResult
 }
@@ -112,8 +111,6 @@ func (s *Session) OrderBatch(ctx context.Context, graphs []*Graph, opt BatchOpti
 	}
 	b := orderBatchPool.Get().(*orderBatch)
 	b.s, b.ctx, b.name, b.seed, b.sopt = s, ctx, name, seed, sopt
-	b.fast = name == pipeline.AlgSpectral && s.cache != nil &&
-		sopt.Operator == nil && sopt.Multilevel.FinestOp == nil
 	b.graphs, b.results = graphs, results
 	pipeline.RunBatch(opt.Workers, len(graphs), b)
 	*b = orderBatch{}
@@ -126,7 +123,7 @@ func (s *Session) OrderBatch(ctx context.Context, graphs []*Graph, opt BatchOpti
 func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
 	g := b.graphs[i]
 	slot := &b.results[i]
-	if b.fast && g.N() >= 3 {
+	if b.name == pipeline.AlgSpectral && g.N() >= 3 {
 		if art := b.s.cache.WholeIfConnected(g, b.sopt); art != nil && b.runFast(slot, g, art, ws) {
 			return
 		}

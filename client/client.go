@@ -100,11 +100,11 @@ type OrderResult struct {
 	// Winners and Eigensolves summarize auto portfolio runs.
 	Winners     map[string]int `json:"winners,omitempty"`
 	Eigensolves int            `json:"eigensolves,omitempty"`
-	// Cached reports whether the expensive artifacts behind this ordering
-	// were available without solving: the graph was resident in the
-	// tenant's graph cache (so its eigensolves and other artifacts apply),
-	// or the persistent store held the whole-graph eigensolve for this
-	// content and seed (a warm restart).
+	// Cached reports that the graph was already resident in the tenant
+	// Session's cache, so its memoized artifacts applied, or that the
+	// answer's solve record was read from the persistent store
+	// (Solve.FromStore, e.g. after a restart). An algorithm without a
+	// solve on a graph the tenant has not seen reports false.
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
@@ -112,12 +112,15 @@ type OrderResult struct {
 // FiedlerResult is the /v1/fiedler reply: the Fiedler vector, λ2 and the
 // solver statistics.
 type FiedlerResult struct {
-	N         int                `json:"n"`
-	Lambda2   float64            `json:"lambda2"`
-	Vector    []float64          `json:"vector"`
-	Solve     *envred.SolveStats `json:"solve,omitempty"`
-	Cached    bool               `json:"cached"`
-	ElapsedMS float64            `json:"elapsed_ms"`
+	N       int                `json:"n"`
+	Lambda2 float64            `json:"lambda2"`
+	Vector  []float64          `json:"vector"`
+	Solve   *envred.SolveStats `json:"solve,omitempty"`
+	// Cached reports that the graph was already resident in the tenant
+	// Session's cache, or that the solve record was read from the
+	// persistent store (Solve.FromStore).
+	Cached    bool    `json:"cached"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // JobStatus is the async-job poll document.

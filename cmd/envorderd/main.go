@@ -29,7 +29,7 @@
 // /metrics grows envorderd_store_{hits,misses,errors,puts}_total plus the
 // envorderd_store_seconds latency histogram. Store entries are
 // content-addressed, so a restarted daemon answers repeat matrices with
-// cached=true and zero eigensolves.
+// cached=true, solve.from_store=true and zero eigensolves.
 //
 // The store always runs behind a resilience layer: per-operation timeouts
 // (-store-timeout), capped jittered retries for transient failures

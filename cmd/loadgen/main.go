@@ -15,11 +15,7 @@
 //     daemon) — the end-to-end check that the observability plane agrees
 //     with the traffic actually served,
 //   - with -out, writes a BENCH_service.json artifact row (benchjson-style
-//     schema: reqs/sec, p50/p99 latency, cache hit rate),
-//   - with -batch N, replays the workload as /v1/order/batch documents of
-//     N items each and records a second artifact row with per-item
-//     throughput, document p50/p99 and the batch_speedup ratio over the
-//     singleton phase.
+//     schema: reqs/sec, p50/p99 latency, cache hit rate).
 //
 // Example:
 //
@@ -60,7 +56,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "ordering seed")
 		timeout    = flag.Duration("timeout", 2*time.Minute, "per-request client-side timeout")
 		maxP99     = flag.Duration("max-p99", 60*time.Second, "fail when p99 latency exceeds this")
-		batchSize  = flag.Int("batch", 0, "after the singleton phase, drive the same workload again as /v1/order/batch documents of this many items and record batch-vs-singleton throughput (0 = skip)")
 		verify     = flag.Bool("verify-metrics", false, "scrape /metrics before/after and check order counts and cache hit/miss deltas")
 		out        = flag.String("out", "", "write a BENCH_service.json artifact to this file")
 		warmupWait = flag.Duration("warmup-wait", 10*time.Second, "how long to wait for /healthz before giving up")
@@ -201,13 +196,6 @@ func main() {
 	}
 
 	rows := []benchmark{singletonRow(*grid, *conc, successes, failures, meanNs, rps, p50, p99, hitRate)}
-	if *batchSize > 0 {
-		row, ok := driveBatch(ctx, c, graphs, algs, *requests, *conc, *batchSize, *seed, *timeout, *grid, rps)
-		rows = append(rows, row)
-		if !ok {
-			exit = 1
-		}
-	}
 
 	if *out != "" {
 		if err := writeArtifact(*out, rows); err != nil {
@@ -320,103 +308,6 @@ func singletonRow(grid string, conc, successes, failures int, meanNs, rps float6
 		NsPerOp:    meanNs,
 		Metrics:    m,
 	}
-}
-
-// driveBatch replays the singleton workload as /v1/order/batch documents
-// of batchSize items each and reports per-item throughput against the
-// singleton phase's — the wire-level measurement of what request batching
-// buys (one round trip, one parse, one solve-pool slot per batchSize
-// orderings). Returns ok=false when any document or item failed.
-func driveBatch(ctx context.Context, c *client.Client, graphs []*envred.Graph, algs []string,
-	requests, conc, batchSize int, seed int64, timeout time.Duration, grid string, singletonRps float64) (benchmark, bool) {
-	nBatches := (requests + batchSize - 1) / batchSize
-	items := make([]*envred.Graph, batchSize)
-	for i := range items {
-		items[i] = graphs[i%len(graphs)]
-	}
-	log.Printf("driving %d batch document(s) of %d item(s) at concurrency %d", nBatches, batchSize, conc)
-	durations := make([]time.Duration, nBatches)
-	okItems := make([]int64, nBatches)
-	errs := make([]error, nBatches)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < conc; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nBatches {
-					return
-				}
-				reqStart := time.Now()
-				rctx, cancel := context.WithTimeout(ctx, timeout)
-				res, err := c.OrderBatch(rctx, items, client.BatchRequest{
-					Algorithm: algs[i%len(algs)],
-					Seed:      seed,
-				})
-				cancel()
-				durations[i] = time.Since(reqStart)
-				switch {
-				case err != nil:
-					errs[i] = err
-				case res.Failed > 0:
-					errs[i] = res.Errors[0]
-					okItems[i] = int64(res.Count - res.Failed)
-				default:
-					okItems[i] = int64(res.Count)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	failures := 0
-	var successes int64
-	for i, err := range errs {
-		successes += okItems[i]
-		if err != nil {
-			failures++
-			if failures <= 5 {
-				log.Printf("batch %d failed: %v", i, err)
-			}
-		}
-	}
-	sorted := append([]time.Duration(nil), durations...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	p50 := percentile(sorted, 0.50)
-	p99 := percentile(sorted, 0.99)
-	itemsPerSec := float64(successes) / wall.Seconds()
-	speedup := itemsPerSec / singletonRps
-	log.Printf("batch done: %d item(s) ok, %d document(s) failed in %.2fs — %.1f orderings/s (%.2fx singleton), doc p50 %s, p99 %s",
-		successes, failures, wall.Seconds(), itemsPerSec, speedup, p50, p99)
-	if failures > 0 {
-		log.Printf("FAIL: %d batch document(s) errored (want 0)", failures)
-	}
-	var meanNs float64
-	if n := nBatches - failures; n > 0 {
-		var sum time.Duration
-		for i, d := range durations {
-			if errs[i] == nil {
-				sum += d
-			}
-		}
-		meanNs = float64(sum) / float64(n)
-	}
-	return benchmark{
-		Name:       fmt.Sprintf("Service/order_batch/grid%s/c%d/b%d", grid, conc, batchSize),
-		Iterations: successes,
-		NsPerOp:    meanNs,
-		Metrics: map[string]float64{
-			"reqs_per_sec":  itemsPerSec,
-			"p50_ms":        float64(p50) / float64(time.Millisecond),
-			"p99_ms":        float64(p99) / float64(time.Millisecond),
-			"errors":        float64(failures),
-			"batch_speedup": speedup,
-		},
-	}, failures == 0
 }
 
 func writeArtifact(path string, rows []benchmark) error {

@@ -89,9 +89,3 @@ func LevelStructureInto(g *Graph, root int, ls *LevelStructure) {
 func Eccentricity(g *Graph, v int) int {
 	return NewLevelStructure(g, v).Depth() - 1
 }
-
-// Distances returns the BFS distance from root to every vertex (-1 for
-// unreachable vertices).
-func Distances(g *Graph, root int) []int32 {
-	return NewLevelStructure(g, root).LevelOf
-}

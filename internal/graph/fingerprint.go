@@ -10,9 +10,9 @@ import (
 // digest of its CSR arrays. Two graphs have equal fingerprints exactly when
 // they are structurally identical (same vertex count, same canonical
 // adjacency), regardless of how or where they were built — the identity the
-// service's graph interner, the Session artifact cache and the persistent
-// artifact store all key by, so an eigensolve computed for a matrix in one
-// process is addressable from any other.
+// Session cache interns graphs by and the persistent artifact store keys
+// by, so an eigensolve computed for a matrix in one process is addressable
+// from any other.
 type Fingerprint [sha256.Size]byte
 
 // String returns the lowercase hex form — stable, filesystem- and

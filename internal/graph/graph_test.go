@@ -188,7 +188,7 @@ func TestDistancesUnreachable(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1) // component {0,1}; 2 and 3 isolated
 	g := b.Build()
-	d := Distances(g, 0)
+	d := NewLevelStructure(g, 0).LevelOf
 	if d[0] != 0 || d[1] != 1 || d[2] != -1 || d[3] != -1 {
 		t.Fatalf("distances = %v", d)
 	}

@@ -150,26 +150,3 @@ func Cholesky(m *Dense) (*Dense, error) {
 	}
 	return g, nil
 }
-
-// SolveCholesky solves A·x = b given the Cholesky factor G (A = GGᵀ) via
-// forward and back substitution, returning a new slice.
-func SolveCholesky(g *Dense, b []float64) []float64 {
-	n := g.N
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= g.At(i, k) * y[k]
-		}
-		y[i] = s / g.At(i, i)
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= g.At(k, i) * x[k]
-		}
-		x[i] = s / g.At(i, i)
-	}
-	return x
-}

@@ -100,7 +100,9 @@ func (a *Artifacts) storeKey() store.Key {
 }
 
 // tier2Probe tries to fill the memo from the persistent store — once per
-// Artifacts lifetime, before the first eigensolve. A hit is trusted only
+// Artifacts lifetime, before the first eigensolve. A loaded solve record
+// carries FromStore, so every answer built on it says where the solve
+// came from. A hit is trusted only
 // after validation against the live graph (vertex count, vector lengths,
 // permutation validity); an entry that decodes but does not fit is deleted
 // and treated as a miss, so a bad store can cost a re-solve but never an
@@ -120,6 +122,7 @@ func (a *Artifacts) tier2Probe() {
 		a.tier2.Delete(a.storeKey())
 		return
 	}
+	rec.Stats.FromStore = true
 	a.mu.Lock()
 	a.fiedlerVec, a.fiedlerStats, a.fiedlerErr = rec.Fiedler, rec.Stats, nil
 	a.fiedlerDone = true

@@ -31,8 +31,11 @@ const maxArtifactOptionSets = 4
 // pay for decomposition, extraction and eigensolves once.
 //
 // Graphs are keyed by pointer identity, which is sound because Graph is
-// immutable. Entries are evicted least-recently-used beyond the configured
-// capacity, bounding the memory a long-lived Session can pin. The Cache —
+// immutable. Intern adds a content key: it resolves a graph to the resident
+// instance with the same fingerprint, so callers that parse every request
+// afresh (the envorderd daemon) still reach the memoized artifacts. Entries
+// are evicted least-recently-used beyond the configured capacity, both keys
+// together, bounding the memory a long-lived Session can pin. The Cache —
 // and with it every artifact it memoizes — lives exactly as long as its
 // Session: eviction or process exit discards the work. Binding a tier-2
 // store (SetStore) is what extends artifact lifetime past the process:
@@ -45,11 +48,12 @@ const maxArtifactOptionSets = 4
 // graph and the options, so a cached Auto run is byte-identical to an
 // uncached one — and a store-warmed run to both.
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[*graph.Graph]*list.Element
-	lru     *list.List  // of *cacheEntry; front = most recently used
-	store   store.Store // tier 2; nil = in-memory only
+	mu       sync.Mutex
+	max      int
+	entries  map[*graph.Graph]*list.Element
+	interned map[graph.Fingerprint]*list.Element // content index of Intern'd entries
+	lru      *list.List                          // of *cacheEntry; front = most recently used
+	store    store.Store                         // tier 2; nil = in-memory only
 }
 
 // NewCache returns a Cache retaining at most maxGraphs graphs (≤ 0 means
@@ -59,9 +63,10 @@ func NewCache(maxGraphs int) *Cache {
 		maxGraphs = DefaultCacheGraphs
 	}
 	return &Cache{
-		max:     maxGraphs,
-		entries: map[*graph.Graph]*list.Element{},
-		lru:     list.New(),
+		max:      maxGraphs,
+		entries:  map[*graph.Graph]*list.Element{},
+		interned: map[graph.Fingerprint]*list.Element{},
+		lru:      list.New(),
 	}
 }
 
@@ -87,6 +92,7 @@ func (c *Cache) tier2() store.Store {
 // do their own finer-grained memoization.
 type cacheEntry struct {
 	g         *graph.Graph
+	fp        *graph.Fingerprint // set once Intern has indexed the entry
 	mu        sync.Mutex
 	connected *bool // memoized IsConnected (pure function of the graph)
 	comps     [][]int
@@ -100,18 +106,45 @@ type cacheEntry struct {
 func (c *Cache) entry(g *graph.Graph) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.elementLocked(g).Value.(*cacheEntry)
+}
+
+// elementLocked is entry's body under c.mu, returning g's LRU element.
+func (c *Cache) elementLocked(g *graph.Graph) *list.Element {
 	if el, ok := c.entries[g]; ok {
 		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry)
+		return el
 	}
-	e := &cacheEntry{g: g}
-	c.entries[g] = c.lru.PushFront(e)
+	el := c.lru.PushFront(&cacheEntry{g: g})
+	c.entries[g] = el
 	for c.lru.Len() > c.max {
 		back := c.lru.Back()
-		delete(c.entries, back.Value.(*cacheEntry).g)
+		e := back.Value.(*cacheEntry)
+		delete(c.entries, e.g)
+		if e.fp != nil {
+			delete(c.interned, *e.fp)
+		}
 		c.lru.Remove(back)
 	}
-	return e
+	return el
+}
+
+// Intern resolves g by content: it returns the resident graph with g's
+// fingerprint and true, so the caller reaches that graph's memoized
+// artifacts, or indexes g's own entry under the fingerprint and returns g
+// and false. The content key lives and dies with the entry's LRU slot.
+func (c *Cache) Intern(g *graph.Graph) (*graph.Graph, bool) {
+	fp := graph.FingerprintOf(g)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.interned[fp]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*cacheEntry).g, true
+	}
+	el := c.elementLocked(g)
+	el.Value.(*cacheEntry).fp = &fp
+	c.interned[fp] = el
+	return g, false
 }
 
 // Len reports the number of graphs currently cached.
@@ -128,16 +161,18 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = map[*graph.Graph]*list.Element{}
+	c.interned = map[graph.Fingerprint]*list.Element{}
 	c.lru.Init()
 }
 
-// artKey normalizes spectral options into a comparable artifact-map key:
-// the operator fields are per-solve plumbing (the artifacts install their
-// own shared operator), not identity.
-func artKey(opt core.Options) core.Options {
-	opt.Operator = nil
-	opt.Multilevel.FinestOp = nil
-	return opt
+// cacheable reports whether runs under opt may be served from a Cache. A
+// caller-supplied operator (Operator or Multilevel.FinestOp) is an exact
+// instance the caller wants driven (instrumented or preconditioned), while
+// cached artifacts install their own shared operator, and a warm entry
+// would hand back a solve this call's operator never drove. Such runs are
+// served uncached, so the artifact maps key on operator-free options.
+func cacheable(opt core.Options) bool {
+	return opt.Operator == nil && opt.Multilevel.FinestOp == nil
 }
 
 // resolved is one graph's decomposition plus per-component artifacts for a
@@ -181,19 +216,18 @@ func extractAll(g *graph.Graph, workers int, sopt core.Options, st store.Store) 
 }
 
 // resolve returns g's decomposition and artifacts for sopt, through the
-// cache when one is configured. A connected graph's single component uses
-// the same Artifacts the whole-graph entry points (Session.Order,
-// Session.Fiedler) memoize, so e.g. a SPECTRAL row and a later Auto run
-// on the same connected graph share one eigensolve.
+// cache when one is configured and sopt is cacheable. A connected graph's
+// single component uses the same Artifacts the whole-graph entry points
+// (Session.Order, Session.Fiedler) memoize, so e.g. a SPECTRAL row and a
+// later Auto run on the same connected graph share one eigensolve.
 func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resolved {
-	if cache == nil {
+	if cache == nil || !cacheable(sopt) {
 		return extractAll(g, workers, sopt, nil)
 	}
 	st := cache.tier2()
 	e := cache.entry(g)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := artKey(sopt)
 	if e.comps == nil {
 		r := extractAll(g, workers, sopt, st)
 		e.comps, e.subs = r.comps, r.subs
@@ -202,10 +236,10 @@ func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resol
 				r.arts[i] = e.wholeLocked(g, sopt, st) // may pre-date this run
 			}
 		}
-		e.arts = map[core.Options][]*Artifacts{key: r.arts}
+		e.arts = map[core.Options][]*Artifacts{sopt: r.arts}
 		return resolved{comps: e.comps, subs: e.subs, arts: r.arts}
 	}
-	arts, ok := e.arts[key]
+	arts, ok := e.arts[sopt]
 	if !ok {
 		if len(e.arts) >= maxArtifactOptionSets {
 			e.arts = map[core.Options][]*Artifacts{}
@@ -219,7 +253,7 @@ func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resol
 				arts[i] = newArtifacts(sub, sopt, st)
 			}
 		}
-		e.arts[key] = arts
+		e.arts[sopt] = arts
 	}
 	return resolved{comps: e.comps, subs: e.subs, arts: arts}
 }
@@ -228,8 +262,13 @@ func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resol
 // connected, nil otherwise (connectivity itself is memoized on the
 // entry). This is the substrate of Session.Order and Session.Fiedler on
 // connected inputs: the graph's own labeling (no component relabeling)
-// with eigensolve, root and diameter reuse across calls.
+// with eigensolve, root and diameter reuse across calls. It also returns
+// nil on a nil Cache and for options that are not cacheable, so callers
+// fall back to their uncached path without checking either.
 func (c *Cache) WholeIfConnected(g *graph.Graph, sopt core.Options) *Artifacts {
+	if c == nil || !cacheable(sopt) {
+		return nil
+	}
 	e := c.entry(g)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -249,14 +288,13 @@ func (c *Cache) WholeIfConnected(g *graph.Graph, sopt core.Options) *Artifacts {
 // points and resolve's spanning-component path land here, which is what
 // makes their eigensolves shared.
 func (e *cacheEntry) wholeLocked(g *graph.Graph, sopt core.Options, st store.Store) *Artifacts {
-	key := artKey(sopt)
-	if a, ok := e.whole[key]; ok {
+	if a, ok := e.whole[sopt]; ok {
 		return a
 	}
 	if e.whole == nil || len(e.whole) >= maxArtifactOptionSets {
 		e.whole = map[core.Options]*Artifacts{}
 	}
 	a := newArtifacts(g, sopt, st)
-	e.whole[key] = a
+	e.whole[sopt] = a
 	return a
 }

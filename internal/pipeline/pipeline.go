@@ -133,7 +133,8 @@ type Report struct {
 	Eigensolves int
 	// Solve aggregates the eigensolver statistics across all components:
 	// counters summed, estimates (λ2, residual, hierarchy shape) from the
-	// largest component that ran a solve.
+	// largest component that ran a solve, Converged and FromStore and-ed
+	// across the consumed solves.
 	Solve solver.Stats
 }
 
@@ -231,13 +232,6 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 	// configured). Trivial components (≤ 2 vertices) skip the portfolio —
 	// every ordering of them is optimal.
 	sopt := spectralOpt(opt)
-	// A caller-supplied operator is per-call identity that artKey
-	// deliberately strips from the cache key, so such runs are served
-	// uncached — otherwise a second run could be handed a solve driven by
-	// the previous call's operator (mirrors Session.Do / Session.Fiedler).
-	if sopt.Operator != nil || sopt.Multilevel.FinestOp != nil {
-		cache = nil
-	}
 	res := resolve(g, workers, sopt, cache)
 	work := make([]*componentWork, len(res.comps))
 	for i := range res.comps {
@@ -342,13 +336,14 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 	// Eigensolver statistics aggregate largest-component-first: the first
 	// component whose solve succeeded provides the estimates; every solve
 	// consumed by this run's candidates — errored ones included —
-	// contributes its counters, and any failure or partial convergence
-	// clears the aggregate Converged. A cached solve no candidate read
+	// contributes its counters, any failure or partial convergence clears
+	// the aggregate Converged, and any solve not loaded from the store
+	// clears FromStore. A cached solve no candidate read
 	// (e.g. a spectral-free portfolio on a warm Session cache) is not this
 	// run's work and stays out of the report.
 	out := make(perm.Perm, 0, n)
 	var counters solver.Stats
-	allConverged := true
+	allConverged, allFromStore := true, true
 	haveEstimates := false
 	for i, w := range work {
 		if w.art == nil || w.art.solveUses() == usesBefore[i] {
@@ -382,6 +377,7 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 		if ferr != nil || !st.Converged {
 			allConverged = false
 		}
+		allFromStore = allFromStore && st.FromStore
 		if !haveEstimates && ferr == nil {
 			rep.Solve = st
 			haveEstimates = true
@@ -391,7 +387,7 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 		// Replace the estimate-solve's own counters with the run totals.
 		rep.Solve.MatVecs, rep.Solve.RQIIterations, rep.Solve.JacobiSweeps = 0, 0, 0
 		rep.Solve.AddCounters(counters)
-		rep.Solve.Converged = allConverged
+		rep.Solve.Converged, rep.Solve.FromStore = allConverged, allFromStore
 	}
 	for ci, w := range work {
 		cr := ComponentReport{Index: ci, Size: len(w.verts)}

@@ -11,12 +11,19 @@ import (
 
 // StoreKeyFor computes the persistent-store key for g's artifacts under
 // sopt: the graph's canonical content fingerprint paired with a digest of
-// the spectral options, normalized exactly like the in-memory artifact
-// maps (artKey — operator plumbing cleared), so tier 1 and tier 2 agree on
-// what "the same solve" means. The service uses it to probe the store for
-// a request's cache status without running the pipeline.
+// the spectral options with their operator plumbing cleared (artKey), the
+// operator-free options the in-memory artifact maps key on, so tier 1 and
+// tier 2 agree on what "the same solve" means.
 func StoreKeyFor(g *graph.Graph, sopt core.Options) store.Key {
 	return store.Key{Graph: graph.FingerprintOf(g), Opts: OptionDigest(sopt)}
+}
+
+// artKey clears the per-solve operator fields of opt: they are plumbing
+// (cached artifacts install their own shared operator), not identity.
+func artKey(opt core.Options) core.Options {
+	opt.Operator = nil
+	opt.Multilevel.FinestOp = nil
+	return opt
 }
 
 // solverVersion names the eigensolver behind the default answers. It is

@@ -12,9 +12,9 @@ import (
 // batch rides Session.OrderBatch, so the per-request overhead a singleton
 // /v1/order pays — result allocation, permutation re-validation, envelope
 // re-scoring of cached orderings — is paid once per batch instead of once
-// per graph. Items share the tenant's graph interner, Session artifact
-// cache and persistent store exactly as singleton requests do; a batch
-// holds one solve-pool slot for its whole duration.
+// per graph. Items are interned into the tenant Session and share its
+// artifact cache and persistent store exactly as singleton requests do; a
+// batch holds one solve-pool slot for its whole duration.
 
 func (s *Server) handleOrderBatch(w http.ResponseWriter, r *http.Request, tnt *tenant) {
 	req, aerr := s.decodeRequest(w, r, true)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/perm"
-	"repro/internal/pipeline"
 	"repro/internal/scratch"
 )
 
@@ -49,10 +48,9 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 
 // admit is the admission step of every ordering endpoint. It counts the
 // request in flight and takes a tenant slot and a solve-pool slot,
-// queueing under ctx. Then it interns each decoded graph, so a repeat
-// resolves to the resident instance whose Session artifacts apply, and
-// for each graph the interner missed it probes the persistent store for
-// the reply's cached flag. After a nil return the caller must call leave.
+// queueing under ctx. Then it interns each decoded graph in the tenant
+// Session, so a repeat resolves to the resident instance whose artifacts
+// apply. After a nil return the caller must call leave.
 func (s *Server) admit(ctx context.Context, tnt *tenant, req *request) *apiError {
 	s.m.inFlight.add(1)
 	if aerr := acquire(ctx, tnt.sem); aerr != nil {
@@ -70,13 +68,12 @@ func (s *Server) admit(ctx context.Context, tnt *tenant, req *request) *apiError
 			continue
 		}
 		if it.weight == nil {
-			it.g, it.cached = tnt.graphs.intern(it.g)
+			it.g, it.resident = tnt.sess.Intern(it.g)
 		}
-		if it.cached {
+		if it.resident {
 			s.m.cacheHits.inc()
 		} else {
 			s.m.cacheMisses.inc()
-			it.cached = it.weight == nil && s.storeHas(it.g, req.seed)
 		}
 	}
 	return nil
@@ -124,11 +121,6 @@ func (s *Server) runOrder(ctx context.Context, tnt *tenant, req *request) (*clie
 // singleton, the item's Result.Elapsed inside a batch.
 func (s *Server) orderResult(algorithm string, res envred.Result, it *item, elapsed time.Duration) *client.OrderResult {
 	s.m.orders.inc(algorithm, "ok")
-	spectral := res.Info != nil || res.Solve != nil ||
-		(res.Report != nil && res.Report.Eigensolves > 0)
-	if spectral && !it.cached {
-		s.m.eigenSeconds.observe(elapsed.Seconds())
-	}
 	st := res.Stats
 	out := &client.OrderResult{
 		Algorithm: res.Algorithm,
@@ -138,7 +130,6 @@ func (s *Server) orderResult(algorithm string, res envred.Result, it *item, elap
 		Envelope: client.Envelope{Esize: st.Esize, Ework: st.Ework, Bandwidth: st.Bandwidth,
 			OneSum: st.OneSum, TwoSum: st.TwoSum, MaxFrontwidth: st.MaxFrontwidth},
 		Solve:     res.Solve,
-		Cached:    it.cached,
 		ElapsedMS: millis(elapsed),
 	}
 	if res.Info != nil {
@@ -152,24 +143,17 @@ func (s *Server) orderResult(algorithm string, res envred.Result, it *item, elap
 		out.Winners = res.Report.Wins
 		out.Eigensolves = res.Report.Eigensolves
 	}
+	out.Cached = cached(it, out.Solve)
+	if out.Solve != nil && !out.Cached {
+		s.m.eigenSeconds.observe(elapsed.Seconds())
+	}
 	return out
 }
 
-// storeHas reports whether the persistent store already holds the
-// whole-graph artifact a request on g with this seed will consult — the
-// advisory probe behind the response's cached flag across restarts. It
-// reads through the uncounted handle so probes never skew the store
-// hit/miss metrics, and it is best-effort: a miss here just means the
-// ordering pays its normal (possibly store-warmed) cost.
-func (s *Server) storeHas(g *graph.Graph, seed int64) bool {
-	if s.rawStore == nil {
-		return false
-	}
-	if seed == 0 {
-		seed = s.cfg.Seed
-	}
-	_, err := s.rawStore.Get(pipeline.StoreKeyFor(g, core.Options{Seed: seed}))
-	return err == nil
+// cached is a reply's cached flag: the graph was resident in the tenant
+// Session, or the answer's solve record came from the persistent store.
+func cached(it *item, solve *envred.SolveStats) bool {
+	return it.resident || (solve != nil && solve.FromStore)
 }
 
 // acquire takes one slot of sem (nil = unlimited), honoring ctx.
@@ -316,9 +300,6 @@ func (s *Server) handleFiedler(w http.ResponseWriter, r *http.Request, tnt *tena
 		writeError(w, aerr)
 		return
 	}
-	// Session.Fiedler always runs with the session-default options, so the
-	// store probe uses the session seed whatever the request asked for.
-	req.seed = s.cfg.Seed
 	ctx, cancel := req.withTimeout(r.Context())
 	defer cancel()
 	if aerr := s.admit(ctx, tnt, req); aerr != nil {
@@ -342,17 +323,18 @@ func (s *Server) handleFiedler(w http.ResponseWriter, r *http.Request, tnt *tena
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	if !it.cached {
-		s.m.eigenSeconds.observe(elapsed.Seconds())
-	}
-	writeJSON(w, http.StatusOK, &client.FiedlerResult{
+	resp := &client.FiedlerResult{
 		N:         it.g.N(),
 		Lambda2:   st.Lambda,
 		Vector:    vec,
 		Solve:     &st,
-		Cached:    it.cached,
+		Cached:    cached(it, &st),
 		ElapsedMS: millis(elapsed),
-	})
+	}
+	if !resp.Cached {
+		s.m.eigenSeconds.observe(elapsed.Seconds())
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz is the liveness probe: always 200 while the process can

@@ -19,9 +19,9 @@ import (
 type metrics struct {
 	// orders by {algorithm,status}: status ∈ ok|timeout|invalid|error.
 	orders *counterVec
-	// graph-cache (interner) traffic: a hit means the request's graph was
-	// already resident, so the tenant Session's artifact cache (eigensolve,
-	// roots, subgraphs) applies to it.
+	// graph-cache traffic at admission: a hit means the tenant Session
+	// already held the request's graph content (Session.Intern), so its
+	// memoized artifacts (eigensolve, roots, subgraphs) apply.
 	cacheHits   counter
 	cacheMisses counter
 	// jobs by terminal {status}: done|failed.
@@ -30,9 +30,10 @@ type metrics struct {
 	// outcomes land in orders above, so orders_total keeps meaning
 	// "orderings" whether they arrived alone or batched).
 	batches counter
-	// latency distributions, in seconds. eigensolve observes only orders
-	// that actually ran a fresh eigensolve (spectral-family algorithm on a
-	// non-interned graph), so it tracks solver latency, not cache serving.
+	// latency distributions, in seconds. eigensolve observes only spectral
+	// answers whose cached flag is false (the graph was not resident and
+	// the solve did not come from the store), so it tracks solver latency,
+	// not cache serving.
 	orderSeconds *histogram
 	eigenSeconds *histogram
 	// store is the daemon's counted persistent-store handle (nil without
@@ -166,28 +167,6 @@ func (v *counterVec) inc(labelValues ...string) {
 	}
 	v.mu.Unlock()
 	c.inc()
-}
-
-// sum totals the counters whose label values satisfy every given
-// {label: value} constraint (empty constraints total the family).
-func (v *counterVec) sum(match map[string]string) int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var total int64
-	for key, c := range v.vals {
-		parts := strings.Split(key, "\x00")
-		ok := true
-		for i, lab := range v.labels {
-			if want, has := match[lab]; has && parts[i] != want {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			total += c.value()
-		}
-	}
-	return total
 }
 
 func (v *counterVec) writeTo(w io.Writer, name string) {

@@ -75,8 +75,10 @@ type item struct {
 	// weight is non-nil for WEIGHTED requests; weighted graphs are not
 	// interned (the pattern may repeat with different values).
 	weight func(u, v int) float64
-	cached bool
-	err    *apiError
+	// resident is set by admission when the tenant Session already held
+	// a graph with this content (g then points at it).
+	resident bool
+	err      *apiError
 }
 
 func badRequest(format string, args ...any) *apiError {

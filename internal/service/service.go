@@ -26,13 +26,19 @@
 // A Server multiplexes any number of tenants: in open mode (no API keys
 // configured) every request shares one tenant; with Config.APIKeys set,
 // requests authenticate with Authorization: Bearer or X-API-Key and each
-// tenant owns an independent Session (its own LRU artifact cache), an
-// independent graph interner and an independent concurrency budget, so one
-// tenant's burst cannot evict another's cached eigensolves or starve its
-// slots. Actual compute is bounded by one global solve pool shared with
-// the async job workers; request timeouts ride the library's context
-// cancellation path, so a deadline that expires mid-eigensolve still
-// yields the best-so-far fallback ordering (HTTP 503, best_so_far=true).
+// tenant owns an independent Session and an independent concurrency
+// budget, so one tenant's burst cannot evict another's cached eigensolves
+// or starve its slots. The tenant Session's LRU cache is the only record
+// of which graphs are resident: admission interns each request graph by
+// content into it (Session.Intern), so a repeat resolves to the resident
+// instance whose artifacts apply. A reply's cached flag reads what the
+// Session did: the graph was resident, or its solve record came from the
+// persistent store (solve.from_store).
+//
+// Actual compute is bounded by one global solve pool shared with the async
+// job workers; request timeouts ride the library's context cancellation
+// path, so a deadline that expires mid-eigensolve still yields the
+// best-so-far fallback ordering (HTTP 503, best_so_far=true).
 package service
 
 import (
@@ -69,8 +75,9 @@ type Config struct {
 	// DefaultTimeout applies to orderings whose request carries no
 	// explicit timeout. 0 = no server-side timeout.
 	DefaultTimeout time.Duration
-	// CacheGraphs sizes each tenant's Session artifact cache and graph
-	// interner. 0 = envred.DefaultCacheGraphs.
+	// CacheGraphs sizes each tenant's Session cache: one LRU over the
+	// resident graphs, holding their content keys and memoized artifacts.
+	// 0 = envred.DefaultCacheGraphs.
 	CacheGraphs int
 	// TenantConcurrency bounds each tenant's in-flight orderings (they
 	// queue, honoring the request context, rather than fail). 0 = 4×the
@@ -125,12 +132,12 @@ func (c *Config) cacheGraphs() int {
 	return envred.DefaultCacheGraphs
 }
 
-// tenant is one isolated consumer of the service: its own Session (LRU
-// artifact cache), graph interner and concurrency budget.
+// tenant is one isolated consumer of the service: its own Session, whose
+// LRU cache interns the tenant's graphs and memoizes their artifacts, and
+// its own concurrency budget.
 type tenant struct {
 	name    string
 	sess    *envred.Session
-	graphs  *interner
 	sem     chan struct{} // nil = unlimited
 	started time.Time
 }
@@ -147,14 +154,11 @@ type Server struct {
 	solveSem chan struct{}
 
 	// store is the counted persistent-store handle tenant Sessions solve
-	// through (nil without Config.Store); rawStore is the uncounted
-	// underlying handle used for advisory cached-flag probes, which must
-	// not perturb the hit/miss counters. resilient is the fault-tolerance
+	// through (nil without Config.Store). resilient is the fault-tolerance
 	// handle found in the store's wrapper chain (nil when the store is not
 	// wrapped in a ResilientStore): /readyz and the breaker metrics read
 	// its state at render time.
 	store     *envred.CountedStore
-	rawStore  envred.Store
 	resilient *envred.ResilientStore
 
 	tenantMu sync.Mutex
@@ -190,7 +194,6 @@ func New(cfg Config) *Server {
 	//envlint:ignore ctxflow the daemon owns its lifetime; Shutdown cancels this base context
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.Store != nil {
-		s.rawStore = cfg.Store
 		s.store = envred.NewCountedStore(cfg.Store, func(_ string, seconds float64) {
 			s.m.storeSeconds.observe(seconds)
 		})
@@ -226,7 +229,6 @@ func (s *Server) newTenant(name string) *tenant {
 	t := &tenant{
 		name:    name,
 		sess:    envred.NewSession(opts),
-		graphs:  newInterner(s.cfg.cacheGraphs()),
 		started: time.Now(),
 	}
 	budget := s.cfg.TenantConcurrency

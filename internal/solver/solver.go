@@ -62,6 +62,10 @@ type Stats struct {
 	// Converged reports whether the solve met its tolerance; false comes
 	// with a usable partial vector and a Residual quantifying the miss.
 	Converged bool `json:"converged"`
+	// FromStore reports that this solve record was loaded from a
+	// persistent artifact store instead of computed in this process.
+	// Solvers never set it; the store codec does not persist it.
+	FromStore bool `json:"from_store,omitempty"`
 }
 
 // AddCounters sums only another solve's work counters into s (MatVecs,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/graph"
 	"repro/internal/solver"
 )
 
@@ -15,7 +14,7 @@ import (
 //
 //	[0:4)  magic "EVST"
 //	[4]    format version (formatVersion)
-//	[5]    kind byte (kindArtifact | kindGraph)
+//	[5]    kind byte (kindArtifact; kindGraph is reserved and rejected)
 //	[6:]   kind-specific payload, no trailing bytes allowed
 //
 // Artifact payload:
@@ -30,17 +29,13 @@ import (
 //	fiedler    u64 count + count f64          (iff bit0; count == n)
 //	perm       u64 count + count i32,          (iff bit1; count == n)
 //	           esize u64 (two's complement), reversed u8
-//
-// Graph payload:
-//
-//	n          u64
-//	xadj       u64 count + count i32           (count == n+1)
-//	adj        u64 count + count i32
 const formatVersion = 1
 
 const (
 	kindArtifact = 1
-	kindGraph    = 2
+	// kindGraph once tagged a serialized CSR graph. No writer remains; the
+	// value stays reserved so a decoder meeting it fails typed.
+	kindGraph = 2
 )
 
 var magic = [4]byte{'E', 'V', 'S', 'T'}
@@ -318,40 +313,4 @@ func DecodeArtifact(data []byte) (Key, *Artifact, error) {
 		return Key{}, nil, err
 	}
 	return key, a, nil
-}
-
-// EncodeGraph serializes a graph's CSR arrays — the stable wire form of a
-// versioned graph identity, available to backends or tooling that persist
-// graphs alongside their artifacts.
-func EncodeGraph(g *graph.Graph) []byte {
-	e := &encoder{b: make([]byte, 0, 6+24+4*(len(g.Xadj)+len(g.Adj)))}
-	encodeHeader(e, kindGraph)
-	e.u64(uint64(g.N()))
-	e.i32s(g.Xadj)
-	e.i32s(g.Adj)
-	return e.b
-}
-
-// DecodeGraph parses an encoded graph and validates the full CSR
-// invariants (monotone Xadj, sorted symmetric duplicate-free adjacency),
-// so a corrupted entry can never yield a structurally invalid Graph.
-//
-//envlint:readonly data
-func DecodeGraph(data []byte) (*graph.Graph, error) {
-	d := &decoder{b: data}
-	decodeHeader(d, kindGraph)
-	n := d.u64()
-	xadj := d.i32s()
-	adj := d.i32s()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	if uint64(len(xadj)) != n+1 {
-		return nil, corrupt("xadj has %d entries for n=%d", len(xadj), n)
-	}
-	g, err := graph.FromCSR(xadj, adj)
-	if err != nil {
-		return nil, corrupt("invalid CSR: %v", err)
-	}
-	return g, nil
 }

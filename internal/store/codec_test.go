@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/solver"
 )
 
@@ -153,43 +152,6 @@ func TestDecodeArtifactCorruption(t *testing.T) {
 		}
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
-		}
-	}
-}
-
-func TestGraphRoundTrip(t *testing.T) {
-	want := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4}})
-	got, err := DecodeGraph(EncodeGraph(want))
-	if err != nil {
-		t.Fatalf("DecodeGraph: %v", err)
-	}
-	if !reflect.DeepEqual(got.Xadj, want.Xadj) || !reflect.DeepEqual(got.Adj, want.Adj) {
-		t.Error("graph round-trip mismatch")
-	}
-	if graph.FingerprintOf(got) != graph.FingerprintOf(want) {
-		t.Error("round-tripped graph changed fingerprint")
-	}
-}
-
-func TestDecodeGraphCorruption(t *testing.T) {
-	valid := EncodeGraph(graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}))
-	cases := map[string][]byte{
-		"truncated":        valid[:len(valid)-3],
-		"trailing garbage": append(append([]byte(nil), valid...), 1),
-		"artifact kind": func() []byte {
-			cp := append([]byte(nil), valid...)
-			cp[5] = kindArtifact
-			return cp
-		}(),
-		"invalid CSR": func() []byte {
-			cp := append([]byte(nil), valid...)
-			cp[len(cp)-1] = 0x7f // out-of-range neighbor id
-			return cp
-		}(),
-	}
-	for name, data := range cases {
-		if _, err := DecodeGraph(data); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got err %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -81,21 +81,3 @@ func FuzzDecodeArtifact(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeGraph: arbitrary bytes must never yield a structurally invalid
-// graph or a panic.
-func FuzzDecodeGraph(f *testing.F) {
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := DecodeGraph(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
-			}
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("decoded graph fails validation: %v", err)
-		}
-	})
-}

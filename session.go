@@ -61,10 +61,12 @@ type SessionOptions struct {
 // the same graph share cached artifacts instead of repeating work.
 //
 // The in-memory cache is tier 1: keyed by graph pointer, it lives and dies
-// with the Session. SessionOptions.Store adds a persistent tier 2 keyed by
-// content fingerprint — tier-1 misses are filled from the store before
-// solving and solves are written back, so eigensolves survive restarts and
-// pool across processes sharing one store.
+// with the Session; Intern adds a content key over the same LRU for callers
+// that hold equal graphs in distinct instances. SessionOptions.Store adds a
+// persistent tier 2 keyed by content fingerprint — tier-1 misses are filled
+// from the store before solving and solves are written back, so
+// eigensolves survive restarts and pool across processes sharing one
+// store. A solve loaded from the store reports SolveStats.FromStore.
 //
 // Caching never changes results: every cached artifact is a pure function
 // of the graph and the options, so cached Session calls are byte-identical
@@ -136,14 +138,11 @@ func (s *Session) Do(ctx context.Context, g *Graph, algorithm string, req OrderR
 	// expensive precomputations. Artifacts are pure functions of
 	// (graph, options), so results stay byte-identical to the uncached
 	// path (pinned by the session-equivalence golden test). Components of
-	// < 3 vertices and disconnected graphs take the whole-graph path.
-	// A caller-supplied operator (req.Spectral.Operator or
-	// req.Spectral.Multilevel.FinestOp) bypasses the cache: the caller
-	// wants that exact instance driven (instrumented or preconditioned
-	// operators), and cached artifacts install their own.
+	// < 3 vertices, disconnected graphs, cache-less sessions and
+	// caller-supplied operators (see pipeline.Cache.WholeIfConnected) take
+	// the whole-graph path.
 	cached := false
-	if req.Artifacts == nil && s.cache != nil && req.Spectral.Operator == nil &&
-		req.Spectral.Multilevel.FinestOp == nil && g.N() >= 3 {
+	if req.Artifacts == nil && g.N() >= 3 {
 		req.Artifacts = s.cache.WholeIfConnected(g, req.Spectral)
 		cached = req.Artifacts != nil
 	}
@@ -242,21 +241,31 @@ func (s *Session) Fiedler(ctx context.Context, g *Graph) ([]float64, SolveStats,
 	}
 	ws := scratch.Get()
 	defer scratch.Put(ws)
-	// Caller-supplied operators bypass the cache for the same reason Do's
-	// do: the caller wants that exact instance driven, while cached
-	// artifacts install their own shared operator.
-	if s.cache != nil && opt.Operator == nil && opt.Multilevel.FinestOp == nil {
-		if a := s.cache.WholeIfConnected(g, opt); a != nil {
-			x, st, err := a.Fiedler(ctx, ws)
-			if x != nil {
-				// The memoized vector stays cache-owned; callers get a copy.
-				x = append([]float64(nil), x...)
-			}
-			return x, st, err
+	if a := s.cache.WholeIfConnected(g, opt); a != nil {
+		x, st, err := a.Fiedler(ctx, ws)
+		if x != nil {
+			// The memoized vector stays cache-owned; callers get a copy.
+			x = append([]float64(nil), x...)
 		}
+		return x, st, err
 	}
-	// No cache (or unspecified disconnected input): solve directly.
+	// No cache, a caller-supplied operator, or unspecified disconnected
+	// input: solve directly.
 	return core.FiedlerConnectedWS(ctx, ws, g, opt)
+}
+
+// Intern resolves g by content against the session's cache: it returns the
+// resident graph with g's content and true, so calls on the result reuse
+// that graph's memoized artifacts, or records g as the resident instance
+// and returns g and false. A server that parses every request into a fresh
+// Graph interns it first, so repeated content shares one eigensolve. The
+// content key lives in the cache's one LRU and is evicted with the graph.
+// A session without a cache returns g and false.
+func (s *Session) Intern(g *Graph) (*Graph, bool) {
+	if s.cache == nil {
+		return g, false
+	}
+	return s.cache.Intern(g)
 }
 
 // Reset drops the session's in-memory artifact cache, releasing every

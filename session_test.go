@@ -325,6 +325,96 @@ func TestSessionOrderCancelMidEigensolve(t *testing.T) {
 	}
 }
 
+// A caller-supplied operator is driven by every entry point of a caching
+// session, even after an operator-free call has warmed the cache for the
+// same graph and options: cached artifacts would install their own
+// operator, or hand back the warm solve without driving any.
+func TestCallerOperatorBypassesCache(t *testing.T) {
+	ctx := context.Background()
+	g := envred.Grid(16, 11)
+	sess := envred.NewSession(envred.SessionOptions{Seed: 4})
+	if _, err := sess.AutoWith(ctx, g, envred.AutoOptions{Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	newOp := func() *cancelOp {
+		return &cancelOp{Interface: laplacian.New(g), cancel: func() {}}
+	}
+
+	op := newOp()
+	fsess := envred.NewSession(envred.SessionOptions{Seed: 4, Spectral: envred.SpectralOptions{Operator: op}})
+	if _, _, err := fsess.Fiedler(ctx, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fsess.Fiedler(ctx, g); err != nil {
+		t.Fatal(err)
+	}
+	if atomic.LoadInt32(&op.applies) == 0 {
+		t.Error("Fiedler did not drive the caller's operator")
+	}
+
+	op = newOp()
+	res, err := sess.OrderBatch(ctx, []*envred.Graph{g}, envred.BatchOptions{
+		Algorithm: envred.AlgSpectral,
+		Spectral:  envred.SpectralOptions{Seed: 4, Operator: op},
+	})
+	if err != nil || res[0].Err != nil {
+		t.Fatal(err, res[0].Err)
+	}
+	if atomic.LoadInt32(&op.applies) == 0 {
+		t.Error("OrderBatch(SPECTRAL) did not drive the caller's operator")
+	}
+
+	op = newOp()
+	auto := envred.AutoOptions{Seed: 4}
+	auto.Spectral.Multilevel.FinestOp = op
+	if _, err := sess.AutoWith(ctx, g, auto); err != nil {
+		t.Fatal(err)
+	}
+	if atomic.LoadInt32(&op.applies) == 0 {
+		t.Error("AutoWith did not drive the caller's finest-level operator")
+	}
+}
+
+// Session.Intern resolves equal content to the first resident instance,
+// forgets it when the graph is evicted or the session reset, and is a
+// pass-through on a session without a cache.
+func TestSessionIntern(t *testing.T) {
+	ctx := context.Background()
+	sess := envred.NewSession(envred.SessionOptions{Seed: 1, CacheGraphs: 2})
+	a := envred.Grid(6, 5)
+	if got, hit := sess.Intern(a); got != a || hit {
+		t.Fatalf("first Intern = (%p, %v), want (%p, false)", got, hit, a)
+	}
+	if got, hit := sess.Intern(envred.Grid(6, 5)); got != a || !hit {
+		t.Fatalf("equal content interned to (%p, %v), want the first instance %p and true", got, hit, a)
+	}
+
+	// Two more graphs, one interned and one only ordered, fill the
+	// two-graph LRU: a is evicted with its content key.
+	sess.Intern(envred.Grid(7, 5))
+	if _, err := sess.Order(ctx, envred.Grid(8, 5), envred.AlgRCM); err != nil {
+		t.Fatal(err)
+	}
+	a2 := envred.Grid(6, 5)
+	if got, hit := sess.Intern(a2); got != a2 || hit {
+		t.Fatalf("Intern after eviction = (%p, %v), want the new instance %p and false", got, hit, a2)
+	}
+
+	sess.Reset()
+	a3 := envred.Grid(6, 5)
+	if got, hit := sess.Intern(a3); got != a3 || hit {
+		t.Fatalf("Intern after Reset = (%p, %v), want the new instance %p and false", got, hit, a3)
+	}
+
+	bare := envred.NewSession(envred.SessionOptions{CacheGraphs: -1})
+	for i := 0; i < 2; i++ {
+		b := envred.Grid(6, 5)
+		if got, hit := bare.Intern(b); got != b || hit {
+			t.Fatalf("cache-less Intern = (%p, %v), want (%p, false)", got, hit, b)
+		}
+	}
+}
+
 // The artifact-backed connected-graph path of Session.Do must stay
 // field-identical to the historical core path — permutation AND spectral
 // diagnostics — and must hand out copies, never the cache's own slices.
