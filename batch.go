@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/scratch"
 )
@@ -123,14 +124,14 @@ func (s *Session) OrderBatch(ctx context.Context, graphs []*Graph, opt BatchOpti
 func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
 	g := b.graphs[i]
 	slot := &b.results[i]
-	if b.name == pipeline.AlgSpectral && g.N() >= 3 {
-		if art := b.s.cache.WholeIfConnected(g, b.sopt); art != nil && b.runFast(slot, g, art, ws) {
+	if b.name == pipeline.AlgSpectral && b.s.cache != nil {
+		if art, _ := pipeline.Whole(g, b.sopt, b.s.cache); art != nil && b.runFast(slot, art, ws) {
 			return
 		}
 	}
-	// Generic path: exactly Session.Do with the batch's options — cold
-	// artifacts, disconnected graphs, non-SPECTRAL algorithms and failed
-	// solves all land here and stay bit-for-bit Do-identical.
+	// Generic path: exactly Session.Do with the batch's options —
+	// cache-less sessions, disconnected graphs, non-SPECTRAL algorithms and
+	// failed solves all land here and stay bit-for-bit Do-identical.
 	res, err := b.s.Do(b.ctx, g, b.name, OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws})
 	slot.Result, slot.Err = res, err
 }
@@ -143,7 +144,7 @@ func (b *orderBatch) ItemPanicked(i int, err error) {
 	b.results[i] = BatchResult{Err: err}
 }
 
-// runFast serves one item from the session's memoized whole-graph
+// runFast serves one item of a connected graph from the session's memoized
 // SPECTRAL artifacts without allocating: the ordering is copied into the
 // slot's recycled Perm buffer, Solve/Info are backed by slot-owned
 // values, and the envelope statistics come from the artifact's own memo
@@ -154,7 +155,7 @@ func (b *orderBatch) ItemPanicked(i int, err error) {
 // orderers is not repeated per item. Returns false — leaving the slot
 // untouched — when the memoized solve errored, deferring to the generic
 // path for the exact Do error shape.
-func (b *orderBatch) runFast(slot *BatchResult, g *Graph, art *Artifacts, ws *scratch.Workspace) bool {
+func (b *orderBatch) runFast(slot *BatchResult, art *Artifacts, ws *scratch.Workspace) bool {
 	start := time.Now()
 	o, stats, reversed, st, err := art.SpectralStats(b.ctx, ws)
 	if err != nil {
@@ -162,7 +163,7 @@ func (b *orderBatch) runFast(slot *BatchResult, g *Graph, art *Artifacts, ws *sc
 	}
 	p := append(slot.Result.Perm[:0], o...)
 	slot.solve = st
-	pipeline.FillConnectedInfo(&slot.info, st, reversed)
+	slot.info = core.ConnectedInfo(st, reversed)
 	slot.Result = Result{
 		Perm:      p,
 		Algorithm: b.name,

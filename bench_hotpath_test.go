@@ -164,10 +164,11 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 func BenchmarkSloanGK(b *testing.B) {
 	g := bcsstk30(b)
 	ws := scratch.New()
-	o, _, err := core.SpectralWS(context.Background(), ws, g, core.Options{Seed: benchSeed})
+	x, _, err := core.FiedlerConnectedWS(context.Background(), ws, g, core.Options{Seed: benchSeed})
 	if err != nil {
 		b.Fatal(err)
 	}
+	o, _, _ := core.OrderFiedler(ws, g, x)
 	for _, c := range []struct {
 		name string
 		run  func()

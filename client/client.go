@@ -110,7 +110,9 @@ type OrderResult struct {
 }
 
 // FiedlerResult is the /v1/fiedler reply: the Fiedler vector, λ2 and the
-// solver statistics.
+// solver statistics. The graph must be one connected component of at
+// least two vertices; any other graph is answered 400 with its component
+// count.
 type FiedlerResult struct {
 	N       int                `json:"n"`
 	Lambda2 float64            `json:"lambda2"`
@@ -196,7 +198,8 @@ func (c *Client) OrderMatrixMarket(ctx context.Context, matrix []byte, req Order
 	return &out, nil
 }
 
-// Fiedler computes the Fiedler vector and λ2 of the connected graph g.
+// Fiedler computes the Fiedler vector and λ2 of the connected graph g
+// (see FiedlerResult).
 func (c *Client) Fiedler(ctx context.Context, g *envred.Graph) (*FiedlerResult, error) {
 	body, err := graphBody(g)
 	if err != nil {

@@ -74,9 +74,12 @@
 // Algorithms are pluggable: anything implementing Orderer can Register
 // under a name, becoming callable via Session.Order and raceable in Auto
 // portfolios with full access to the per-component artifact cache
-// (OrderRequest.Artifacts) — see examples/customorderer for a user
-// algorithm that outbids the built-ins on the components it specializes
-// in. The built-ins (RCM, CM, GPS, GK, KING, SLOAN, SPECTRAL,
+// (OrderRequest.Artifacts). Both entry points hand an Orderer one
+// connected component at a time: Session.Order orders a disconnected
+// graph component by component, each from its own cached artifacts, and
+// concatenates the orderings largest first. See examples/customorderer
+// for a user algorithm that outbids the built-ins on the components it
+// specializes in. The built-ins (RCM, CM, GPS, GK, KING, SLOAN, SPECTRAL,
 // SPECTRAL+SLOAN, WEIGHTED) self-register at init; Algorithms() lists the
 // current set.
 //
@@ -211,7 +214,7 @@
 // convenience wrappers: each borrows a pooled workspace, so they are safe,
 // concurrent and moderately fast, but pay pool traffic per call. The
 // internal *Into / *WS variants (envelope.ComputeInto, envelope.EsizeInto,
-// graph.SubgraphInto, order.RCMWS, core.SpectralWS,
+// graph.SubgraphInto, order.RCMWS, core.FiedlerConnectedWS,
 // multilevel.FiedlerWS, ...) take an explicit scratch workspace and run
 // with zero steady-state allocations; the parallel engine behind Auto
 // checks one workspace out per worker and threads it through subgraph

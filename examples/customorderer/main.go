@@ -24,12 +24,13 @@ const bruteMax = 8
 // the rest of the portfolio covers the component — a clean way to ship a
 // specialist algorithm that only bids on inputs it can handle.
 //
-// The Orderer contract in one look: in Auto's portfolio the graph is one
-// connected component; called through Session.Order it is the caller's
-// whole input. Either way req.Artifacts, when non-nil, offers the shared
-// artifact cache for that exact graph (Fiedler vector, peripheral root,
-// pseudo-diameter) — a caching Session provides it on connected input
-// too. Implementations must be deterministic and honor ctx.
+// The Orderer contract in one look: the graph is always one connected
+// component of at least two vertices — Auto races the Orderer per
+// component, and Session.Order calls it once per component and
+// concatenates the orderings. req.Artifacts always offers the shared
+// artifact cache for that exact component (Fiedler vector, peripheral
+// root, pseudo-diameter), and req.Workspace the calling worker's scratch.
+// Implementations must be deterministic and honor ctx.
 func brute(ctx context.Context, g *envred.Graph, req *envred.OrderRequest) (envred.Result, error) {
 	n := g.N()
 	if n > bruteMax {

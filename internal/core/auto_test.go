@@ -16,7 +16,7 @@ import (
 // that used to fall below the Lanczos switch builds a hierarchy.
 func TestAutoIsMultilevelAtEverySize(t *testing.T) {
 	g := graph.Grid(25, 20)
-	_, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
+	_, info, err := spectral(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestAutoMatchesLanczosQuality(t *testing.T) {
 				continue
 			}
 			for seed := int64(1); seed <= 5; seed++ {
-				pa, _, err := SpectralWS(ctx, ws, g, Options{Seed: seed})
+				pa, _, err := spectral(ctx, ws, g, Options{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl, _, err := SpectralWS(ctx, ws, g, Options{Method: MethodLanczos, Seed: seed})
+				pl, _, err := spectral(ctx, ws, g, Options{Method: MethodLanczos, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,17 +93,26 @@ func TestAutoSmallGraphsMatchLanczos(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		graphs = append(graphs, randomConnected(rng, 10+rng.Intn(91), 1.5+rng.Float64()*2))
 	}
-	graphs = append(graphs, graph.Grid(10, 10), disconnectedFixture())
+	graphs = append(graphs, graph.Grid(10, 10))
+	// The components of a disconnected graph, each ordered on its own as
+	// the engine orders them.
+	fx := disconnectedFixture()
+	for _, comp := range graph.Components(fx) {
+		if len(comp) > 1 {
+			sub, _ := fx.Subgraph(comp)
+			graphs = append(graphs, sub)
+		}
+	}
 	if len(graphs) < 40 {
 		t.Fatalf("only %d graphs of at most 100 vertices", len(graphs))
 	}
 	for i, g := range graphs {
 		for _, seed := range []int64{1, 2, 3} {
-			pa, _, err := SpectralWS(ctx, ws, g, Options{Seed: seed})
+			pa, _, err := spectral(ctx, ws, g, Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl, _, err := SpectralWS(ctx, ws, g, Options{Method: MethodLanczos, Seed: seed})
+			pl, _, err := spectral(ctx, ws, g, Options{Method: MethodLanczos, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,6 +121,33 @@ func TestAutoSmallGraphsMatchLanczos(t *testing.T) {
 			}
 		}
 	}
+}
+
+// disconnectedFixture builds a graph with three nontrivial components (two
+// grids and a path) plus a 2-vertex and a 1-vertex component.
+func disconnectedFixture() *graph.Graph {
+	b := graph.NewBuilder(6*6 + 4*4 + 10 + 2 + 1)
+	off := 0
+	for _, side := range []int{6, 4} {
+		for r := 0; r < side; r++ {
+			for c := 0; c < side; c++ {
+				v := off + r*side + c
+				if c+1 < side {
+					b.AddEdge(v, v+1)
+				}
+				if r+1 < side {
+					b.AddEdge(v, v+side)
+				}
+			}
+		}
+		off += side * side
+	}
+	for i := 0; i < 9; i++ {
+		b.AddEdge(off+i, off+i+1)
+	}
+	off += 10
+	b.AddEdge(off, off+1)
+	return b.Build()
 }
 
 // randomConnected returns a random connected graph on n vertices: a random

@@ -15,7 +15,7 @@ import (
 // criterion closing the "multilevel contributes 0" gap.
 func TestMultilevelMatVecsInstrumented(t *testing.T) {
 	g := graph.Grid(30, 30)
-	_, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel, Multilevel: multilevel.Options{CoarsestSize: 60}})
+	_, info, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel, Multilevel: multilevel.Options{CoarsestSize: 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPartialConvergencePropagatesToInfo(t *testing.T) {
 	opt := Options{Method: MethodMultilevel}
 	opt.Multilevel.CoarsestSize = 200
 	opt.Multilevel.Lanczos = lanczos.Options{MaxBasis: 3, MaxRestarts: 1, Tol: 1e-14}
-	p, info, err := SpectralWS(context.Background(), scratch.New(), g, opt)
+	p, info, err := spectral(context.Background(), scratch.New(), g, opt)
 	if err != nil {
 		t.Fatalf("partial convergence must not be a hard error: %v", err)
 	}
@@ -59,28 +59,5 @@ func TestPartialConvergencePropagatesToInfo(t *testing.T) {
 	}
 	if info.Solve.Residual == 0 {
 		t.Fatal("residual not propagated for partial solve")
-	}
-}
-
-// On a disconnected graph the Info counters aggregate across components
-// while the estimates stay the largest component's.
-func TestInfoAggregatesAcrossComponents(t *testing.T) {
-	g := disconnectedFixture()
-	_, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Components != 5 {
-		t.Fatalf("components = %d, want 5", info.Components)
-	}
-	if info.Solve.MatVecs != info.MatVecs {
-		t.Fatalf("Solve.MatVecs %d != MatVecs %d", info.Solve.MatVecs, info.MatVecs)
-	}
-	// The largest component (6x6 grid) is what the estimates describe.
-	if info.Solve.CoarsestN != 36 {
-		t.Fatalf("estimates not from the largest component: %+v", info.Solve)
-	}
-	if !info.Solve.Converged {
-		t.Fatalf("all-healthy run not converged: %+v", info.Solve)
 	}
 }

@@ -1,11 +1,16 @@
 // Package core implements the paper's primary contribution: the spectral
-// envelope-reduction ordering (Algorithm 1). Given a sparse symmetric
-// matrix pattern it forms the Laplacian of the adjacency graph, computes a
-// second Laplacian eigenvector (Fiedler vector) with the multilevel scheme
-// of §3 at every size (graphs of at most CoarsestSize vertices go straight
-// to its coarsest Lanczos solve; MethodLanczos forces direct Lanczos
-// instead), sorts the eigenvector components in both directions, and keeps
-// the permutation with the smaller envelope.
+// envelope-reduction ordering (Algorithm 1) of one connected graph. Given a
+// sparse symmetric matrix pattern it forms the Laplacian of the adjacency
+// graph, computes a second Laplacian eigenvector (Fiedler vector) with the
+// multilevel scheme of §3 at every size (graphs of at most CoarsestSize
+// vertices go straight to its coarsest Lanczos solve; MethodLanczos forces
+// direct Lanczos instead), sorts the eigenvector components in both
+// directions, and keeps the permutation with the smaller envelope
+// (FiedlerConnectedWS, then OrderFiedler). A disconnected matrix is ordered
+// component by component, each with the Fiedler vector of its own
+// Laplacian (the paper's remark in §1); that split lives in the ordering
+// engine (internal/pipeline), which hands every algorithm one connected
+// component at a time.
 //
 // Theorem 2.3's guarantee, that the rank permutation of the eigenvector is
 // the closest permutation vector to it, is exercised in this package's
@@ -14,7 +19,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -49,7 +53,7 @@ type Options struct {
 	// Method picks the eigensolver (default MethodAuto).
 	Method Method
 	// Lanczos configures the direct solver, which only MethodLanczos and
-	// WeightedSpectral run. The multilevel solver's coarsest solve reads
+	// WeightedConnected run. The multilevel solver's coarsest solve reads
 	// Multilevel.Lanczos instead.
 	Lanczos lanczos.Options
 	// Multilevel configures the multilevel solver.
@@ -60,16 +64,18 @@ type Options struct {
 	// exact (connected) graph being solved, threaded through to the
 	// selected scheme's finest level. The pipeline's per-component artifact
 	// cache uses it to share one operator — with its persistent-pool worker
-	// partition — across a component's spectral candidates. Leave nil for
-	// whole-graph calls: SpectralWS's per-component dispatch builds its own.
+	// partition — across a component's spectral candidates. A caller's
+	// operator describes the caller's whole graph: the ordering engine
+	// drives it only when that graph is one connected component, and
+	// solves the components of a disconnected graph without it.
 	Operator laplacian.Interface
 }
 
 // Solver resolves the eigensolver Options select, with seeds defaulted from
 // Options.Seed: direct Lanczos for MethodLanczos, the multilevel solver
 // otherwise. This is the single construction point of the unified solver
-// engine: SpectralWS, the pipeline's artifact cache and the ablation
-// benchmarks all go through it.
+// engine: FiedlerConnectedWS, the pipeline's artifact cache and the
+// ablation benchmarks all go through it.
 func (o Options) Solver() solver.Solver {
 	if o.Method == MethodLanczos {
 		lOpt := o.Lanczos
@@ -88,7 +94,10 @@ func (o Options) Solver() solver.Solver {
 	return solver.Multilevel{Opt: mlOpt, Op: o.Operator}
 }
 
-// Info reports diagnostics of a spectral ordering run.
+// Info reports diagnostics of a spectral ordering run. The ordering engine
+// fills one per component (ConnectedInfo) and folds a disconnected graph's
+// into one: estimates and direction from the largest component, counters
+// summed, Converged and FromStore and-ed.
 type Info struct {
 	// Lambda2 is the λ2 estimate of the (largest) component.
 	Lambda2 float64
@@ -104,7 +113,7 @@ type Info struct {
 	Components int
 	// MatVecs counts Laplacian applications across every eigensolve of the
 	// run, all components and both schemes included (it mirrors
-	// Solve.MatVecs). The SpectralSloanWS regression tests use it to prove
+	// Solve.MatVecs). The SPECTRAL+SLOAN regression tests use it to prove
 	// the hybrid never repeats an eigensolve.
 	MatVecs int
 	// Solve carries the full uniform solver statistics: estimates (Lambda,
@@ -114,20 +123,17 @@ type Info struct {
 	Solve solver.Stats
 }
 
-// absorb folds one component's solve statistics into the run diagnostics.
-// record is true for the largest (first-ordered) component, whose spectral
-// estimates become the run's.
-func (info *Info) absorb(st solver.Stats, record bool) {
-	info.MatVecs += st.MatVecs
-	if record {
-		counters := info.Solve
-		info.Solve = st
-		info.Solve.AddCounters(counters)
-		info.Lambda2 = st.Lambda
-		info.Residual = st.Residual
-		info.Multilevel = st.Scheme == solver.SchemeMultilevel
-	} else {
-		info.Solve.Accumulate(st)
+// ConnectedInfo is the Info of Algorithm 1 on one connected component: the
+// solve's statistics and whether the nonincreasing sort won.
+func ConnectedInfo(st solver.Stats, reversed bool) Info {
+	return Info{
+		Lambda2:    st.Lambda,
+		Residual:   st.Residual,
+		Reversed:   reversed,
+		Multilevel: st.Scheme == solver.SchemeMultilevel,
+		Components: 1,
+		MatVecs:    st.MatVecs,
+		Solve:      st,
 	}
 }
 
@@ -157,52 +163,12 @@ func SetEigensolveTestHook(f func(n int)) (restore func()) {
 	return func() { testHookEigensolve = prev }
 }
 
-// SpectralWS computes the spectral envelope-reducing ordering of g
-// (Algorithm 1). Disconnected graphs are ordered component by component
-// (each uses the eigenvector of the smallest positive eigenvalue of its own
-// Laplacian, per the paper's remark in §1) and concatenated largest-first.
-// The envelope comparisons and subgraph extractions reuse ws buffers,
-// which the parallel pipeline checks out once per worker, and ctx
-// interrupts in-flight eigensolves at restart / V-cycle granularity (the
-// typed *lanczos.ErrCancelled propagates with the best-so-far fallback
-// inside).
-func SpectralWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, Info, error) {
-	n := g.N()
-	info := Info{}
-	if n == 0 {
-		return perm.Perm{}, info, nil
-	}
-	if graph.IsConnected(g) {
-		info.Components = 1
-		o, err := spectralConnected(ctx, ws, g, opt, &info, true)
-		return o, info, err
-	}
-	comps := graph.Components(g)
-	info.Components = len(comps)
-	// A caller-supplied operator describes the whole graph, not the
-	// component subgraphs about to be solved.
-	opt.Operator = nil
-	out := make(perm.Perm, 0, n)
-	var sub graph.Graph
-	for ci, comp := range comps {
-		g.SubgraphInto(ws, &sub, comp)
-		local, err := spectralConnected(ctx, ws, &sub, opt, &info, ci == 0)
-		if err != nil {
-			return nil, info, fmt.Errorf("core: component %d: %w", ci, err)
-		}
-		for _, v := range local {
-			out = append(out, int32(comp[v]))
-		}
-	}
-	return out, info, nil
-}
-
 // FiedlerConnectedWS computes the Fiedler vector of the connected graph g
 // with the solver selected by opt, reporting the uniform solver statistics.
-// It is the single eigensolve entry point: SpectralWS, SpectralSloanWS and
-// the pipeline's per-component artifact cache all funnel through it (and
-// through the eigensolve test hook). The returned vector is freshly
-// allocated and safe to retain; ws is used only for scratch.
+// It is the single eigensolve entry point of the pattern Laplacian: the
+// pipeline's per-component artifact cache funnels through it (and through
+// the eigensolve test hook). The returned vector is freshly allocated and
+// safe to retain; ws is used only for scratch.
 func FiedlerConnectedWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) ([]float64, solver.Stats, error) {
 	eigensolveCount.Add(1)
 	if testHookEigensolve != nil {
@@ -226,28 +192,6 @@ func OrderFiedler(ws *scratch.Workspace, g *graph.Graph, x []float64) (o perm.Pe
 	return asc, fwd, false
 }
 
-func spectralConnected(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options, info *Info, record bool) (perm.Perm, error) {
-	n := g.N()
-	if n == 1 {
-		return perm.Perm{0}, nil
-	}
-	x, st, err := FiedlerConnectedWS(ctx, ws, g, opt)
-	if err != nil {
-		// The failed solve's work still counts toward the run's totals (a
-		// caller diagnosing the failure sees what it burned); estimates are
-		// not recorded.
-		info.MatVecs += st.MatVecs
-		info.Solve.Accumulate(st)
-		return nil, err
-	}
-	info.absorb(st, record)
-	o, _, reversed := OrderFiedler(ws, g, x)
-	if reversed && record {
-		info.Reversed = true
-	}
-	return o, nil
-}
-
 // OrderByValues returns the permutation that sorts vertices by
 // nondecreasing value (ties by vertex label, making the ordering
 // deterministic), in new→old convention. This is the "closest permutation
@@ -261,82 +205,14 @@ func OrderByValues(x []float64) perm.Perm {
 	return o
 }
 
-// SpectralSloanWS is the hybrid the paper's §4 anticipates ("limited use
-// of a local reordering strategy based on the adjacency structure to
-// improve the envelope parameters obtained from the spectral method") and
-// which Kumfert & Pothen later published: run Sloan's greedy numbering
-// with the spectral positions as the global priority term instead of BFS
-// distances. It returns the better of the hybrid and the plain spectral
-// ordering.
-//
-// On disconnected graphs the already-computed global spectral ordering is
-// sliced per component — SpectralWS concatenates components in
-// graph.Components order, so each slice IS that component's spectral
-// ordering — rather than re-running the eigensolver per component. Errors
-// from the single spectral pass propagate; the refinement itself cannot
-// fail (a component that Sloan cannot improve keeps its spectral slice).
-func SpectralSloanWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, Info, error) {
-	spectral, info, err := SpectralWS(ctx, ws, g, opt)
-	if err != nil {
-		return nil, info, err
-	}
-	n := g.N()
-	if n <= 2 {
-		return spectral, info, nil
-	}
-	best := spectral
-	bestEsize := envelope.EsizeInto(ws, g, spectral)
-
-	if graph.IsConnected(g) {
-		best = RefineSpectralWS(ws, g, spectral, bestEsize)
-	} else {
-		// Refine each component's slice of the global spectral ordering and
-		// concatenate in the same component order SpectralWS used.
-		comps := graph.Components(g)
-		out := make(perm.Perm, 0, n)
-		mark := ws.Mark()
-		// Components come largest-first, so one checkout covers every
-		// component's local-ordering buffer.
-		localBuf := ws.Int32s(len(comps[0]))
-		var sub graph.Graph
-		off := 0
-		for _, comp := range comps {
-			sz := len(comp)
-			seg := spectral[off : off+sz]
-			off += sz
-			if sz <= 2 {
-				out = append(out, seg...)
-				continue
-			}
-			g.SubgraphInto(ws, &sub, comp)
-			// Relabel the global slice to component-local labels via the
-			// stamp map SubgraphInto just built (old→new binding).
-			local := perm.Perm(localBuf[:sz])
-			for k, gl := range seg {
-				j, ok := ws.MapGet(int(gl))
-				if !ok {
-					return nil, info, fmt.Errorf("core: spectral ordering does not cover component vertex %d", gl)
-				}
-				local[k] = j
-			}
-			pick := RefineSpectralWS(ws, &sub, local, envelope.EsizeInto(ws, &sub, local))
-			for _, lv := range pick {
-				out = append(out, int32(comp[lv]))
-			}
-		}
-		ws.Release(mark)
-		if e := envelope.EsizeInto(ws, g, out); e < bestEsize {
-			best, bestEsize = out, e
-		}
-	}
-	return best, info, nil
-}
-
-// RefineSpectralWS returns the better of spectral and its Sloan refinement
-// on the connected graph g, given spectral's (already-computed) envelope
-// size. This is the single acceptance rule of the SPECTRAL+SLOAN hybrid:
-// SpectralSloanWS and the pipeline's artifact-backed candidate both call
-// it, so the two can never drift apart.
+// RefineSpectralWS is the SPECTRAL+SLOAN hybrid the paper's §4 anticipates
+// ("limited use of a local reordering strategy based on the adjacency
+// structure to improve the envelope parameters obtained from the spectral
+// method") and which Kumfert & Pothen later published: Sloan's greedy
+// numbering of the connected graph g with the spectral positions as the
+// global priority term instead of BFS distances. It returns the better of
+// spectral and that refinement, given spectral's (already-computed)
+// envelope size.
 func RefineSpectralWS(ws *scratch.Workspace, g *graph.Graph, spectral perm.Perm, spectralEsize int64) perm.Perm {
 	if hybrid, ok := SloanRefine(g, spectral); ok {
 		if e := envelope.EsizeInto(ws, g, hybrid); e < spectralEsize {

@@ -15,6 +15,30 @@ import (
 	"repro/internal/scratch"
 )
 
+// spectral is Algorithm 1 on the connected graph g as the ordering engine
+// runs it on one component: FiedlerConnectedWS, then OrderFiedler.
+func spectral(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, Info, error) {
+	if g.N() <= 1 {
+		return perm.Identity(g.N()), Info{Components: 1}, nil
+	}
+	x, st, err := FiedlerConnectedWS(ctx, ws, g, opt)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	o, _, reversed := OrderFiedler(ws, g, x)
+	return o, ConnectedInfo(st, reversed), nil
+}
+
+// spectralSloan is the SPECTRAL+SLOAN hybrid on the connected graph g: the
+// better of the spectral ordering and its Sloan refinement.
+func spectralSloan(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, Info, error) {
+	o, info, err := spectral(ctx, ws, g, opt)
+	if err != nil || g.N() <= 2 {
+		return o, info, err
+	}
+	return RefineSpectralWS(ws, g, o, envelope.EsizeInto(ws, g, o)), info, nil
+}
+
 func TestSpectralValidPermutation(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"path":      graph.Path(30),
@@ -24,10 +48,9 @@ func TestSpectralValidPermutation(t *testing.T) {
 		"complete":  graph.Complete(7),
 		"singleton": graph.NewBuilder(1).Build(),
 		"empty":     graph.NewBuilder(0).Build(),
-		"two-comps": graph.FromEdges(9, [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}, {7, 8}}),
 	}
 	for name, g := range graphs {
-		p, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
+		p, info, err := spectral(context.Background(), scratch.New(), g, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -48,7 +71,7 @@ func TestSpectralPathRecoversNaturalOrder(t *testing.T) {
 	// must recover the natural order (or its reverse) — bandwidth 1,
 	// envelope n−1: the optimum.
 	g := graph.Path(40)
-	p, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
+	p, _, err := spectral(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +85,7 @@ func TestSpectralGridQuality(t *testing.T) {
 	// On an a×b grid (a > b) the spectral ordering should sweep along the
 	// long axis, giving envelope close to RCM's (which is near-optimal).
 	g := graph.Grid(20, 8)
-	p, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
+	p, _, err := spectral(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +98,11 @@ func TestSpectralGridQuality(t *testing.T) {
 
 func TestSpectralDeterministicPerSeed(t *testing.T) {
 	g := graph.Random(120, 240, 3)
-	a, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: 5})
+	a, _, err := spectral(context.Background(), scratch.New(), g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: 5})
+	b, _, err := spectral(context.Background(), scratch.New(), g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +115,11 @@ func TestSpectralMultilevelAgreesWithLanczos(t *testing.T) {
 	// The two solvers may pick different tie-breaks but envelope quality
 	// must be comparable on a mesh.
 	g := graph.Grid(30, 20)
-	pl, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodLanczos})
+	pl, _, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodLanczos})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, infoM, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel})
+	pm, infoM, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +276,7 @@ func TestSpectralReversalChoice(t *testing.T) {
 		b.AddEdge(i, i+1)
 	}
 	g := b.Build()
-	p, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
+	p, _, err := spectral(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,33 +287,14 @@ func TestSpectralReversalChoice(t *testing.T) {
 	}
 }
 
-func TestSpectralComponentsOrderedIndependently(t *testing.T) {
-	// Two paths: each must appear contiguously and in path order.
-	g := graph.FromEdges(12, [][2]int{
-		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, // comp A (6)
-		{6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, // comp B (6)
-	})
-	p, info, err := SpectralWS(context.Background(), scratch.New(), g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Components != 2 {
-		t.Fatalf("components = %d", info.Components)
-	}
-	s := envelope.Compute(g, p)
-	if s.Bandwidth != 1 {
-		t.Fatalf("two-path spectral bandwidth = %d, want 1", s.Bandwidth)
-	}
-}
-
 func TestSpectralSloanNeverWorseThanSpectral(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := graph.Random(80, 200, seed)
-		ps, _, err := SpectralWS(context.Background(), scratch.New(), g, Options{Seed: seed})
+		ps, _, err := spectral(context.Background(), scratch.New(), g, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, _, err := SpectralSloanWS(context.Background(), scratch.New(), g, Options{Seed: seed})
+		ph, _, err := spectralSloan(context.Background(), scratch.New(), g, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +328,7 @@ func BenchmarkSpectralGrid(b *testing.B) {
 	ws := scratch.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SpectralWS(context.Background(), ws, g, Options{}); err != nil {
+		if _, _, err := spectral(context.Background(), ws, g, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,16 +17,16 @@ func unit(u, v int) float64 { return 1 }
 
 func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	g := graph.Random(60, 110, 3)
-	pw, infoW, err := WeightedSpectral(context.Background(), g, unit, Options{Seed: 4})
+	pw, stW, _, err := WeightedConnected(context.Background(), scratch.New(), g, unit, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, infoU, err := SpectralWS(context.Background(), scratch.New(), g, Options{Method: MethodLanczos, Seed: 4})
+	pu, infoU, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodLanczos, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(infoW.Lambda2-infoU.Lambda2) > 1e-8*(1+infoU.Lambda2) {
-		t.Fatalf("λ2: weighted %v vs unweighted %v", infoW.Lambda2, infoU.Lambda2)
+	if math.Abs(stW.Lambda-infoU.Lambda2) > 1e-8*(1+infoU.Lambda2) {
+		t.Fatalf("λ2: weighted %v vs unweighted %v", stW.Lambda, infoU.Lambda2)
 	}
 	if !pw.Equal(pu) {
 		// Same eigenvalue but possibly sign-flipped vector; envelopes must
@@ -44,11 +44,10 @@ func TestWeightedSpectralValid(t *testing.T) {
 		"star":      graph.Star(8),
 		"singleton": graph.NewBuilder(1).Build(),
 		"empty":     graph.NewBuilder(0).Build(),
-		"two-comps": graph.FromEdges(7, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}}),
 	}
 	w := func(u, v int) float64 { return 1 + 0.1*float64((u+v)%5) }
 	for name, g := range graphs {
-		p, _, err := WeightedSpectral(context.Background(), g, w, Options{Seed: 1})
+		p, _, _, err := WeightedConnected(context.Background(), scratch.New(), g, w, Options{Seed: 1})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -62,7 +61,7 @@ func TestWeightedSpectralValid(t *testing.T) {
 func TestWeightedSpectralRejectsNonPositive(t *testing.T) {
 	g := graph.Path(4)
 	bad := func(u, v int) float64 { return -1 }
-	if _, _, err := WeightedSpectral(context.Background(), g, bad, Options{}); err == nil {
+	if _, _, _, err := WeightedConnected(context.Background(), scratch.New(), g, bad, Options{}); err == nil {
 		t.Fatal("negative weights accepted")
 	}
 }
@@ -94,7 +93,7 @@ func TestWeightedSpectralBarbell(t *testing.T) {
 		}
 		return 0.1 // weak bridge
 	}
-	p, _, err := WeightedSpectral(context.Background(), g, w, Options{Seed: 2})
+	p, _, _, err := WeightedConnected(context.Background(), scratch.New(), g, w, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +161,7 @@ func TestWeightedGershgorin(t *testing.T) {
 func TestWeightedSpectralEnvelopeNotWorseThanRandom(t *testing.T) {
 	g := graph.Grid9(12, 12)
 	w := func(u, v int) float64 { return 1 + float64(u%3) }
-	p, _, err := WeightedSpectral(context.Background(), g, w, Options{Seed: 3})
+	p, _, _, err := WeightedConnected(context.Background(), scratch.New(), g, w, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 // ReadWeighted parses a Matrix Market coordinate file keeping the entry
 // magnitudes: it returns the pattern graph together with a symmetric
 // weight function weight(u,v) = |a_uv| suitable for the weighted spectral
-// ordering (core.WeightedSpectral). Pattern files get unit weights;
+// ordering (the WEIGHTED algorithm). Pattern files get unit weights;
 // duplicate entries keep the last value; for "general" matrices the
 // magnitudes of a_uv and a_vu may differ, in which case the larger wins.
 // Zero-valued stored entries receive the smallest positive stored

@@ -216,14 +216,19 @@ func isCancelled(err error) bool {
 
 // Operator returns the component's memoized Laplacian operator —
 // heap-backed (never workspace-backed), parallelized by the laplacian auto
-// heuristics, its worker partition computed once. The instance supports
-// one matvec at a time (see ParallelOp), which holds today because the
-// only consumer is the Fiedler solve serialized under the artifact mutex; a
-// future candidate that runs its own matvecs concurrently must wrap the
-// component in its own ParallelOp instead of borrowing this one.
+// heuristics, its worker partition computed once — or the caller's own
+// operator (core.Options.Operator) when the artifacts were built with one.
+// The instance supports one matvec at a time (see ParallelOp), which holds
+// today because the only consumer is the Fiedler solve serialized under
+// the artifact mutex; a future candidate that runs its own matvecs
+// concurrently must wrap the component in its own ParallelOp instead of
+// borrowing this one.
 func (a *Artifacts) Operator() laplacian.Interface {
 	a.opOnce.Do(func() {
-		a.op = laplacian.Auto(a.g)
+		a.op = a.opt.Operator
+		if a.op == nil {
+			a.op = laplacian.Auto(a.g)
+		}
 	})
 	return a.op
 }
@@ -247,9 +252,15 @@ func (a *Artifacts) Fiedler(ctx context.Context, ws *scratch.Workspace) ([]float
 	a.mu.Lock()
 	a.uses++
 	a.mu.Unlock()
-	return a.fiedlerLocked(ctx, ws)
+	vec, st, err := a.fiedlerLocked(ctx, ws)
+	a.tier2Save()
+	return vec, st, err
 }
 
+// fiedlerLocked is Fiedler's memo under the semaphore: the memoized solve,
+// else the store's, else a fresh one. It writes nothing to the store — its
+// callers do, once each, so a cold Spectral writes the vector and the
+// ordering in one record. The caller holds the memo semaphore.
 func (a *Artifacts) fiedlerLocked(ctx context.Context, ws *scratch.Workspace) ([]float64, solver.Stats, error) {
 	a.mu.Lock()
 	if a.fiedlerDone {
@@ -276,7 +287,6 @@ func (a *Artifacts) fiedlerLocked(ctx context.Context, ws *scratch.Workspace) ([
 	a.fiedlerVec, a.fiedlerStats, a.fiedlerErr = vec, st, err
 	a.fiedlerDone = true
 	a.mu.Unlock()
-	a.tier2Save()
 	return vec, st, err
 }
 

@@ -23,6 +23,20 @@ func countEigensolves(f func()) int {
 	return int(atomic.LoadInt64(&solves))
 }
 
+// standaloneSpectral is Algorithm 1 on the connected graph g without any
+// artifact: a fresh eigensolve, then the better sort direction, with its
+// envelope size.
+func standaloneSpectral(t *testing.T, g *graph.Graph, opt core.Options) (perm.Perm, int64) {
+	t.Helper()
+	ws := scratch.New()
+	x, _, err := core.FiedlerConnectedWS(context.Background(), ws, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, esize, _ := core.OrderFiedler(ws, g, x)
+	return p, esize
+}
+
 // The PR's acceptance gate: with both SPECTRAL candidates in the portfolio,
 // Auto performs exactly one Fiedler eigensolve per nontrivial component —
 // the artifact cache shares the solve — at any parallelism.
@@ -152,18 +166,12 @@ func TestArtifactCandidatesMatchStandalone(t *testing.T) {
 		AlgKing:  func() perm.Perm { return order.King(g) },
 		AlgSloan: func() perm.Perm { return order.Sloan(g) },
 		AlgSpectral: func() perm.Perm {
-			p, _, err := core.SpectralWS(context.Background(), scratch.New(), g, core.Options{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p, _ := standaloneSpectral(t, g, core.Options{Seed: seed})
 			return p
 		},
 		AlgSpectralSloan: func() perm.Perm {
-			p, _, err := core.SpectralSloanWS(context.Background(), scratch.New(), g, core.Options{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
+			p, esize := standaloneSpectral(t, g, core.Options{Seed: seed})
+			return core.RefineSpectralWS(scratch.New(), g, p, esize)
 		},
 	}
 	for alg, f := range standalone {
@@ -213,8 +221,8 @@ func TestArtifactsMemoization(t *testing.T) {
 	if st1.MatVecs == 0 || st1.Scheme == "" {
 		t.Fatalf("Fiedler stats not populated: %+v", st1)
 	}
-	// The memoized spectral ordering matches core.SpectralWS, and its cached
-	// envelope size is the true one.
+	// The memoized spectral ordering matches a standalone Algorithm 1 run,
+	// and its cached envelope size is the true one.
 	o, esize, _, st3, err := art.Spectral(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +230,8 @@ func TestArtifactsMemoization(t *testing.T) {
 	if st3 != st1 {
 		t.Fatal("Spectral artifact reports different solve stats")
 	}
-	p, _, err := core.SpectralWS(context.Background(), scratch.New(), g, core.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.Equal(p) {
-		t.Fatal("artifact spectral ordering differs from core.SpectralWS")
+	if p, _ := standaloneSpectral(t, g, core.Options{Seed: 3}); !o.Equal(p) {
+		t.Fatal("artifact spectral ordering differs from the standalone Algorithm 1 run")
 	}
 	if esize != envelope.Esize(g, o) {
 		t.Fatalf("cached esize %d != recomputed %d", esize, envelope.Esize(g, o))

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/perm"
 	"repro/internal/scratch"
 	"repro/internal/store"
 )
@@ -26,9 +27,10 @@ const maxArtifactOptionSets = 4
 // component decomposition, the extracted component subgraphs, and the
 // per-component Artifacts (Fiedler solve, peripheral root, pseudo-diameter)
 // keyed by the spectral options that parameterize them. A Session threads
-// one Cache through every Auto and Fiedler call, so repeated orderings of
-// the same graph — the serving pattern of a long-lived ordering service —
-// pay for decomposition, extraction and eigensolves once.
+// one Cache through every Order, Auto and Fiedler call, so repeated
+// orderings of the same graph — the serving pattern of a long-lived
+// ordering service — pay for decomposition, extraction and eigensolves
+// once, disconnected graphs included.
 //
 // Graphs are keyed by pointer identity, which is sound because Graph is
 // immutable. Intern adds a content key: it resolves a graph to the resident
@@ -91,14 +93,12 @@ func (c *Cache) tier2() store.Store {
 // decomposition and the per-options artifact map; the artifacts themselves
 // do their own finer-grained memoization.
 type cacheEntry struct {
-	g         *graph.Graph
-	fp        *graph.Fingerprint // set once Intern has indexed the entry
-	mu        sync.Mutex
-	connected *bool // memoized IsConnected (pure function of the graph)
-	comps     [][]int
-	subs      []*graph.Graph // aligned with comps; nil for trivial components
-	arts      map[core.Options][]*Artifacts
-	whole     map[core.Options]*Artifacts // whole-graph artifacts (connected inputs)
+	g     *graph.Graph
+	fp    *graph.Fingerprint // set once Intern has indexed the entry
+	mu    sync.Mutex
+	comps [][]int
+	subs  []*graph.Graph // aligned with comps (see resolved)
+	arts  map[core.Options][]*Artifacts
 }
 
 // entry returns g's cache entry, creating it (and evicting the
@@ -176,18 +176,68 @@ func cacheable(opt core.Options) bool {
 }
 
 // resolved is one graph's decomposition plus per-component artifacts for a
-// specific spectral-options key. subs and arts are nil at trivial
-// components (≤ 2 vertices).
+// specific spectral-options key, components largest first (ties by lowest
+// vertex, as graph.Components orders them). comps[i] lists component i's
+// vertices in ascending order, or is nil when the component is the whole
+// graph. subs[i] is its subgraph — the graph itself when whole — and nil
+// for a single vertex, where arts[i] is nil too.
 type resolved struct {
 	comps [][]int
 	subs  []*graph.Graph
 	arts  []*Artifacts
 }
 
-// extractAll decomposes g and extracts every nontrivial component subgraph
-// on the worker pool — the uncached stage-1 work of Auto. st (may be nil)
-// is the tier-2 store bound into the fresh artifacts.
+// size returns the vertex count of component i of g.
+func (r *resolved) size(g *graph.Graph, i int) int {
+	if r.comps[i] == nil {
+		return g.N()
+	}
+	return len(r.comps[i])
+}
+
+// place appends local, an ordering of component i in its own labels, to
+// out in the labels of the resolved graph — the relabel-and-concatenate
+// step every engine entry point stitches with.
+func (r *resolved) place(out, local perm.Perm, i int) perm.Perm {
+	verts := r.comps[i]
+	if verts == nil {
+		return append(out, local...)
+	}
+	for _, v := range local {
+		out = append(out, int32(verts[v]))
+	}
+	return out
+}
+
+// weight returns w relabelled to component i's labels (nil stays nil).
+func (r *resolved) weight(w func(u, v int) float64, i int) func(u, v int) float64 {
+	verts := r.comps[i]
+	if w == nil || verts == nil {
+		return w
+	}
+	return func(u, v int) float64 { return w(verts[u], verts[v]) }
+}
+
+// extractAll decomposes g and extracts every component subgraph of two or
+// more vertices on the worker pool — the uncached resolve. A connected g
+// skips graph.Components (and its sorted member list): its one component
+// is g itself. st (may be nil) is the tier-2 store bound into the fresh
+// artifacts. A caller-supplied operator (Operator or Multilevel.FinestOp)
+// describes the whole graph, so only the artifacts of a component that is
+// the whole graph keep it; the others solve on their own operators.
 func extractAll(g *graph.Graph, workers int, sopt core.Options, st store.Store) resolved {
+	if graph.IsConnected(g) {
+		if g.N() == 0 {
+			return resolved{}
+		}
+		r := resolved{comps: [][]int{nil}, subs: []*graph.Graph{nil}, arts: []*Artifacts{nil}}
+		if g.N() > 1 {
+			r.subs[0], r.arts[0] = g, newArtifacts(g, sopt, st)
+		}
+		return r
+	}
+	copt := sopt
+	copt.Operator, copt.Multilevel.FinestOp = nil, nil
 	comps := graph.Components(g)
 	r := resolved{
 		comps: comps,
@@ -195,31 +245,22 @@ func extractAll(g *graph.Graph, workers int, sopt core.Options, st store.Store) 
 		arts:  make([]*Artifacts, len(comps)),
 	}
 	runPool(workers, len(comps), func(ci int, ws *scratch.Workspace) {
-		if len(comps[ci]) <= 2 {
-			return
-		}
-		if len(comps[ci]) == g.N() {
-			// A component spanning the whole graph is the graph itself
-			// (members are sorted, so the relabeling is the identity): skip
-			// the extraction copy and key the artifacts on g, letting the
-			// cache share them with the whole-graph entry points.
-			r.subs[ci] = g
-			r.arts[ci] = newArtifacts(g, sopt, st)
+		if len(comps[ci]) < 2 {
 			return
 		}
 		sub := &graph.Graph{}
 		g.SubgraphInto(ws, sub, comps[ci])
 		r.subs[ci] = sub
-		r.arts[ci] = newArtifacts(sub, sopt, st)
+		r.arts[ci] = newArtifacts(sub, copt, st)
 	})
 	return r
 }
 
 // resolve returns g's decomposition and artifacts for sopt, through the
-// cache when one is configured and sopt is cacheable. A connected graph's
-// single component uses the same Artifacts the whole-graph entry points
-// (Session.Order, Session.Fiedler) memoize, so e.g. a SPECTRAL row and a
-// later Auto run on the same connected graph share one eigensolve.
+// cache when one is configured and sopt is cacheable. Every entry point
+// (Order, Auto, Whole) resolves here, so a SPECTRAL order, a later Auto
+// run and a Fiedler call on the same graph share one eigensolve per
+// component.
 func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resolved {
 	if cache == nil || !cacheable(sopt) {
 		return extractAll(g, workers, sopt, nil)
@@ -231,13 +272,8 @@ func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resol
 	if e.comps == nil {
 		r := extractAll(g, workers, sopt, st)
 		e.comps, e.subs = r.comps, r.subs
-		for i, sub := range e.subs {
-			if sub == g {
-				r.arts[i] = e.wholeLocked(g, sopt, st) // may pre-date this run
-			}
-		}
 		e.arts = map[core.Options][]*Artifacts{sopt: r.arts}
-		return resolved{comps: e.comps, subs: e.subs, arts: r.arts}
+		return r
 	}
 	arts, ok := e.arts[sopt]
 	if !ok {
@@ -246,55 +282,11 @@ func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resol
 		}
 		arts = make([]*Artifacts, len(e.comps))
 		for i, sub := range e.subs {
-			switch {
-			case sub == g:
-				arts[i] = e.wholeLocked(g, sopt, st)
-			case sub != nil:
+			if sub != nil {
 				arts[i] = newArtifacts(sub, sopt, st)
 			}
 		}
 		e.arts[sopt] = arts
 	}
 	return resolved{comps: e.comps, subs: e.subs, arts: arts}
-}
-
-// WholeIfConnected returns memoized whole-graph Artifacts when g is
-// connected, nil otherwise (connectivity itself is memoized on the
-// entry). This is the substrate of Session.Order and Session.Fiedler on
-// connected inputs: the graph's own labeling (no component relabeling)
-// with eigensolve, root and diameter reuse across calls. It also returns
-// nil on a nil Cache and for options that are not cacheable, so callers
-// fall back to their uncached path without checking either.
-func (c *Cache) WholeIfConnected(g *graph.Graph, sopt core.Options) *Artifacts {
-	if c == nil || !cacheable(sopt) {
-		return nil
-	}
-	e := c.entry(g)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.connected == nil {
-		conn := graph.IsConnected(g)
-		e.connected = &conn
-	}
-	if !*e.connected {
-		return nil
-	}
-	return e.wholeLocked(g, sopt, c.tier2())
-}
-
-// wholeLocked returns the entry's memoized whole-graph Artifacts for sopt,
-// creating (and capacity-capping) as needed; st (may be nil) is bound into
-// fresh artifacts. The caller holds e.mu. Both the whole-graph entry
-// points and resolve's spanning-component path land here, which is what
-// makes their eigensolves shared.
-func (e *cacheEntry) wholeLocked(g *graph.Graph, sopt core.Options, st store.Store) *Artifacts {
-	if a, ok := e.whole[sopt]; ok {
-		return a
-	}
-	if e.whole == nil || len(e.whole) >= maxArtifactOptionSets {
-		e.whole = map[core.Options]*Artifacts{}
-	}
-	a := newArtifacts(g, sopt, st)
-	e.whole[sopt] = a
-	return a
 }

@@ -19,25 +19,20 @@ import (
 // Orderer is a pluggable ordering algorithm: anything that can produce a
 // permutation of a graph. All built-ins (RCM, CM, GPS, GK, King, Sloan,
 // Spectral, Spectral+Sloan, Weighted) implement it and self-register into
-// the package registry; user implementations registered with Register race
-// in Auto's portfolio on equal footing, per-component artifact cache
-// included.
+// the package registry; user implementations registered with Register are
+// callable by name through Order (Session.Order) and race in Auto's
+// portfolio on equal footing, per-component artifact cache included.
 //
-// The contract has two calling modes:
-//
-//   - Portfolio mode (inside Auto): g is one connected component of ≥ 3
-//     vertices of the graph the engine was given.
-//   - Whole-graph mode (Session.Order and direct calls): g is the caller's
-//     full, possibly disconnected, possibly empty graph; the Orderer must
-//     handle every component itself.
-//
-// req.Artifacts, when non-nil, is the memoized artifact cache describing
+// The contract has one calling mode: g is always one connected component
+// of the graph the engine was given, of at least 2 vertices (at least 3
+// inside Auto, which places smaller components itself; Order places only
+// single vertices). The engine splits the input, calls the Orderer once per
+// component and concatenates the component orderings largest first.
+// req.Artifacts is always set: the memoized artifact cache describing
 // exactly the g being passed — use it for the Fiedler vector, the
 // pseudo-peripheral root or the pseudo-diameter pair instead of
-// recomputing them. It is always set in portfolio mode, and a caching
-// Session also sets it for connected whole-graph input, so its presence
-// does not distinguish the modes; correct implementations treat both the
-// same — order the g they are given, using the artifacts when offered.
+// recomputing them. req.Workspace is always set too: the calling worker's
+// scratch.
 //
 // Implementations must be deterministic for a fixed (graph, request) — the
 // engine's reproducibility contract extends to them — must not retain
@@ -53,8 +48,8 @@ import (
 // need to be filled in; the engine computes Stats, Algorithm and Elapsed.
 //
 // A panic in an implementation fails the call, not the process: every
-// engine entry point (Session.Order, the portfolio race, batch workers)
-// recovers it into a *PanicError carrying the value and stack.
+// engine entry point (Order, the portfolio race, batch workers) recovers
+// it into a *PanicError carrying the value and stack.
 type Orderer interface {
 	Order(ctx context.Context, g *graph.Graph, req *OrderRequest) (Result, error)
 }
@@ -75,41 +70,22 @@ type OrderRequest struct {
 	Algorithm string
 	// Seed drives randomized pieces; fixed seed ⇒ reproducible run.
 	Seed int64
-	// Spectral carries the eigensolver options for spectral orderers. Its
-	// Seed defaults to OrderRequest.Seed when zero.
+	// Spectral carries the eigensolver options for spectral orderers. The
+	// engine defaults its Seed to OrderRequest.Seed when zero.
 	Spectral core.Options
 	// Weight is an optional symmetric positive edge-weight function (by the
-	// labels of g as passed). The WEIGHTED built-in requires it; the
-	// portfolio engine relabels Options.Weight per component before
-	// invoking candidates.
+	// labels of g as passed). The WEIGHTED built-in requires it; the engine
+	// relabels the caller's weight function per component before invoking
+	// an Orderer.
 	Weight func(u, v int) float64
-	// Artifacts, when non-nil, is the memoized artifact cache for the graph
-	// being ordered — always set in portfolio mode, and also set by a
-	// caching Session on connected whole-graph input (see Orderer).
+	// Artifacts is the memoized artifact cache of the component being
+	// ordered. The engine sets it on every call (see Orderer); a caller of
+	// Order or Session.Do leaves it nil.
 	Artifacts *Artifacts
-	// Workspace is the calling worker's scratch, or nil (orderers that want
-	// one then check it out of the shared pool via the workspace helper).
+	// Workspace is the calling worker's scratch. The engine sets it on every
+	// call; a caller of Order or Session.Do may pass its own, and otherwise
+	// the engine checks one out of the shared pool for the call.
 	Workspace *scratch.Workspace
-}
-
-// spectral returns the request's eigensolver options with the seed
-// defaulted from the request seed.
-func (r *OrderRequest) spectral() core.Options {
-	s := r.Spectral
-	if s.Seed == 0 {
-		s.Seed = r.Seed
-	}
-	return s
-}
-
-// workspace returns the request's workspace, checking one out of the
-// shared pool (with a release func) when the caller did not provide one.
-func (r *OrderRequest) workspace() (*scratch.Workspace, func()) {
-	if r.Workspace != nil {
-		return r.Workspace, func() {}
-	}
-	ws := scratch.Get()
-	return ws, func() { scratch.Put(ws) }
 }
 
 // Result is the uniform outcome of one ordering run — what Session.Order,

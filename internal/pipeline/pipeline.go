@@ -1,13 +1,13 @@
 // Package pipeline implements the context-first ordering service behind
 // the public API: a registry of pluggable ordering algorithms (Orderer,
 // Register, Lookup, Algorithms) into which every built-in self-registers,
-// and the parallel portfolio engine (Auto) that races them. Auto
-// decomposes a graph into connected components, orders every component
-// concurrently on a bounded worker pool while racing a configurable
-// portfolio of registered Orderers per component, scores the candidates by
-// envelope size (ties broken by bandwidth, then envelope work, then
-// portfolio position), and stitches the per-component winners into one
-// global permutation.
+// and the engine that runs them one connected component at a time. Order
+// runs one algorithm per component; the parallel portfolio engine (Auto)
+// orders every component concurrently on a bounded worker pool while
+// racing a configurable portfolio of registered Orderers per component,
+// scores the candidates by envelope size (ties broken by bandwidth, then
+// envelope work, then portfolio position), and stitches the per-component
+// winners into one global permutation.
 //
 // Candidates on the same component share a per-component artifact cache
 // (see Artifacts): the Fiedler eigensolve, the pseudo-peripheral root and
@@ -17,9 +17,9 @@
 // peripheral searches. User-registered Orderers reach the same cache
 // through OrderRequest.Artifacts. Artifacts are pure functions of the
 // component and the options, so sharing does not perturb determinism or
-// results. Auto's cache argument additionally persists decomposition,
-// subgraphs and artifacts across Auto calls on the same graph — the reuse
-// a long-lived Session provides.
+// results. The cache argument of Order, Auto and Whole additionally
+// persists decomposition, subgraphs and artifacts across calls on the same
+// graph — the reuse a long-lived Session provides.
 //
 // The engine is deterministic: for a fixed graph, portfolio and seed the
 // result is byte-identical regardless of Parallelism or goroutine
@@ -173,11 +173,11 @@ type candidate struct {
 	stats envelope.Stats
 }
 
-// componentWork is the per-component state shared between stages.
+// componentWork is the per-component state shared between stages; sub
+// and art are nil on the components of ≤ 2 vertices Auto places itself.
 type componentWork struct {
-	verts  []int
+	size   int
 	sub    *graph.Graph
-	old    []int
 	art    *Artifacts
 	weight func(u, v int) float64
 	cands  []candidate
@@ -235,15 +235,11 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 	res := resolve(g, workers, sopt, cache)
 	work := make([]*componentWork, len(res.comps))
 	for i := range res.comps {
-		work[i] = &componentWork{verts: res.comps[i], old: res.comps[i]}
-		if res.subs[i] != nil {
+		work[i] = &componentWork{size: res.size(g, i)}
+		if work[i].size > 2 {
 			work[i].sub = res.subs[i]
 			work[i].art = res.arts[i]
-			if opt.Weight != nil {
-				old := res.comps[i]
-				weight := opt.Weight
-				work[i].weight = func(u, v int) float64 { return weight(old[u], old[v]) }
-			}
+			work[i].weight = res.weight(opt.Weight, i)
 		}
 	}
 
@@ -295,28 +291,16 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 		req := OrderRequest{
 			Algorithm: names[t.ai],
 			Seed:      opt.Seed,
-			Spectral:  sopt, // the one seed-defaulted options value the artifacts are keyed by
+			Spectral:  w.art.opt, // the seed-defaulted options the artifacts were built for
 			Weight:    w.weight,
 			Artifacts: w.art,
 			Workspace: ws,
 		}
 		t0 := time.Now()
-		// SafeOrder: a registered Orderer that panics surfaces as this
-		// candidate's error, never as a dead pool worker.
-		ores, err := SafeOrder(taskCtx, orderers[t.ai], names[t.ai], w.sub, &req)
+		ores, err := orderComponent(taskCtx, orderers[t.ai], names[t.ai], w.sub, &req)
 		o := ores.Perm
 		slot.Seconds = time.Since(t0).Seconds()
 		slot.Solve = ores.Solve
-		// Length is validated before Check (which only proves o permutes its
-		// own indices): a registered Orderer returning a wrong-sized ordering
-		// must surface as this candidate's error, not crash the scorer.
-		if err == nil && len(o) != w.sub.N() {
-			err = fmt.Errorf("pipeline: %s returned a %d-length ordering for a %d-vertex component",
-				names[t.ai], len(o), w.sub.N())
-		}
-		if err == nil {
-			err = o.Check()
-		}
 		if err != nil {
 			slot.Err = err.Error()
 			return
@@ -390,12 +374,12 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 		rep.Solve.Converged, rep.Solve.FromStore = allConverged, allFromStore
 	}
 	for ci, w := range work {
-		cr := ComponentReport{Index: ci, Size: len(w.verts)}
+		cr := ComponentReport{Index: ci, Size: w.size}
 		var local perm.Perm
 		if w.sub == nil {
-			local = perm.Identity(len(w.verts))
+			local = perm.Identity(w.size)
 			cr.Winner = AlgTrivial
-			if len(w.verts) == 2 {
+			if w.size == 2 {
 				// A 2-vertex component is a single edge; its envelope
 				// parameters are all 1 under any ordering.
 				cr.Edges = 1
@@ -415,15 +399,13 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 				}
 			}
 			if best < 0 {
-				return nil, rep, fmt.Errorf("pipeline: no portfolio algorithm produced an ordering for component %d (size %d)", ci, len(w.verts))
+				return nil, rep, fmt.Errorf("pipeline: no portfolio algorithm produced an ordering for component %d (size %d)", ci, w.size)
 			}
 			local = w.cands[best].order
 			cr.Winner = names[best]
 			cr.Stats = w.cands[best].stats
 		}
-		for _, v := range local {
-			out = append(out, int32(w.old[v]))
-		}
+		out = res.place(out, local, ci)
 		rep.Wins[cr.Winner]++
 		rep.Components = append(rep.Components, cr)
 	}
@@ -433,6 +415,117 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 	rep.Stats = envelope.Compute(g, out)
 	rep.Seconds = time.Since(start).Seconds()
 	return out, rep, nil
+}
+
+// Order runs the Orderer ord, registered as name, on g: once per connected
+// component of two or more vertices, with that component's Artifacts (from
+// cache when the options are cacheable, fresh otherwise), the caller's
+// workspace or one checked out for the call, and req.Weight relabelled to
+// the component's labels. req.Spectral.Seed defaults to req.Seed, as
+// Auto's does to Options.Seed. Single vertices are placed by the engine.
+// The component orderings are validated and concatenated largest first
+// into one fresh permutation, and their spectral diagnostics folded into
+// one Result (see foldDiagnostics). An error names the failing component
+// on disconnected input; the Result then carries the diagnostics gathered
+// so far. Order fills Perm, Solve and Info; Stats, Algorithm and Elapsed
+// are the caller's.
+func Order(ctx context.Context, g *graph.Graph, name string, ord Orderer, req OrderRequest, cache *Cache) (Result, error) {
+	if req.Workspace == nil {
+		ws := scratch.Get()
+		defer scratch.Put(ws)
+		req.Workspace = ws
+	}
+	if req.Spectral.Seed == 0 {
+		req.Spectral.Seed = req.Seed
+	}
+	res := resolve(g, 1, req.Spectral, cache)
+	out := make(perm.Perm, 0, g.N())
+	var run Result
+	for i, sub := range res.subs {
+		if sub == nil {
+			out = res.place(out, perm.Perm{0}, i)
+			continue
+		}
+		creq := req
+		creq.Spectral = res.arts[i].opt
+		creq.Weight = res.weight(req.Weight, i)
+		creq.Artifacts = res.arts[i]
+		r, err := orderComponent(ctx, ord, name, sub, &creq)
+		foldDiagnostics(&run, r, len(res.subs))
+		if err != nil {
+			if len(res.subs) > 1 {
+				err = fmt.Errorf("pipeline: component %d: %w", i, err)
+			}
+			return run, err
+		}
+		out = res.place(out, r.Perm, i)
+	}
+	run.Perm = out
+	return run, nil
+}
+
+// Whole returns the Artifacts of g when g is one connected component of at
+// least two vertices, resolved through cache (nil = fresh, as are options
+// that are not cacheable); otherwise it returns nil and the number of
+// components g has. It is the whole-graph substrate of Session.Fiedler and
+// of the batch path's warm SPECTRAL answers.
+func Whole(g *graph.Graph, sopt core.Options, cache *Cache) (*Artifacts, int) {
+	res := resolve(g, 1, sopt, cache)
+	if len(res.subs) != 1 || res.subs[0] == nil {
+		return nil, len(res.subs)
+	}
+	return res.arts[0], 1
+}
+
+// orderComponent is the per-component call every entry point makes: ord
+// under panic isolation (SafeOrder), then the ordering's length — which
+// Check alone cannot prove, and a wrong one would crash the envelope
+// scorer — and its validity.
+func orderComponent(ctx context.Context, ord Orderer, name string, sub *graph.Graph, req *OrderRequest) (Result, error) {
+	r, err := SafeOrder(ctx, ord, name, sub, req)
+	if err != nil {
+		return r, err
+	}
+	if len(r.Perm) != sub.N() {
+		return r, fmt.Errorf("pipeline: %s returned a %d-length ordering for a %d-vertex component", name, len(r.Perm), sub.N())
+	}
+	if err := r.Perm.Check(); err != nil {
+		return r, fmt.Errorf("pipeline: %s returned an invalid permutation: %w", name, err)
+	}
+	return r, nil
+}
+
+// foldDiagnostics folds component result r into the diagnostics of a run
+// over a graph of the given number of components, in component order
+// (largest first): the first component with a solve record gives the
+// estimates and the direction, later ones add their counters and and
+// their Converged and FromStore flags.
+func foldDiagnostics(run *Result, r Result, components int) {
+	if r.Solve != nil {
+		if run.Solve == nil {
+			st := *r.Solve
+			run.Solve = &st
+		} else {
+			foldSolve(run.Solve, *r.Solve)
+		}
+	}
+	if r.Info != nil {
+		if run.Info == nil {
+			info := *r.Info
+			run.Info = &info
+		} else {
+			run.Info.MatVecs += r.Info.MatVecs
+			foldSolve(&run.Info.Solve, r.Info.Solve)
+		}
+		run.Info.Components = components
+	}
+}
+
+// foldSolve adds a later component's solve to dst: counters summed,
+// Converged and FromStore and-ed, dst's estimates kept.
+func foldSolve(dst *solver.Stats, st solver.Stats) {
+	dst.Accumulate(st)
+	dst.FromStore = dst.FromStore && st.FromStore
 }
 
 // beats reports whether candidate a strictly beats b under the scoring

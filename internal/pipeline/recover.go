@@ -37,8 +37,9 @@ func Recovered(op string, p any) *PanicError {
 // SafeOrder invokes o.Order with panic isolation: a panic inside the
 // Orderer returns as a *PanicError instead of unwinding into the caller.
 // Every path that runs registry code — the portfolio engine's candidates,
-// Session whole-graph calls, batch items — goes through here, which is
-// what makes registering a third-party Orderer safe for a daemon.
+// Order's per-component calls (Session.Order and batch items) — goes
+// through here, which is what makes registering a third-party Orderer
+// safe for a daemon.
 func SafeOrder(ctx context.Context, o Orderer, name string, g *graph.Graph, req *OrderRequest) (res Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

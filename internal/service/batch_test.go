@@ -204,7 +204,9 @@ func TestOrderBatchQuerySeed(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{Seed: 1})
 	perms := func(query, seed string) string {
 		t.Helper()
-		doc := `{"algorithm":"seed-echo",` + seed + `"items":[{"graph":{"n":40,"edges":[]}},{"graph":{"n":25,"edges":[[0,1]]}}]}`
+		// seed-echo sees each component of two or more vertices, so every
+		// item carries one big enough for the seeds to order it apart.
+		doc := `{"algorithm":"seed-echo",` + seed + `"items":[{"graph":{"n":40,"edges":[[3,4],[4,5],[5,6],[6,7]]}},{"graph":{"n":25,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5]]}}]}`
 		resp, body := postBatch(t, ts.URL+"/v1/order/batch"+query, doc)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s %s: status %d: %s", query, seed, resp.StatusCode, body)

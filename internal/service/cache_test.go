@@ -3,8 +3,10 @@ package service_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,4 +143,52 @@ func TestStoreReadsPerRequest(t *testing.T) {
 				reads, rep.Cached, len(rep.Vector), fiedlerG.N())
 		}
 	})
+}
+
+// twoGrids is a disconnected graph: a 14×11 grid and a 9×8 grid.
+func twoGrids() *envred.Graph {
+	parts := []*envred.Graph{envred.Grid(14, 11), envred.Grid(9, 8)}
+	b := envred.NewBuilder(parts[0].N() + parts[1].N())
+	off := 0
+	for _, p := range parts {
+		for _, e := range p.Edges() {
+			b.AddEdge(off+e[0], off+e[1])
+		}
+		off += p.N()
+	}
+	return b.Build()
+}
+
+// TestCachedFlagOnDisconnectedRepeat pins cached on disconnected input: the
+// Session memoizes every component's solve, so a repeated SPECTRAL or
+// SPECTRAL+SLOAN request runs no eigensolve, and cached is true exactly
+// when none ran.
+func TestCachedFlagOnDisconnectedRepeat(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Seed: 3})
+	body := mmBody(t, twoGrids())
+	for _, alg := range []string{"spectral", "spectral%2Bsloan"} {
+		url := ts.URL + "/v1/order?algorithm=" + alg
+		first := postCached(t, url, body)
+		for i := 0; i < 2; i++ {
+			var repeat cachedReply
+			solves := countServiceSolves(func() { repeat = postCached(t, url, body) })
+			if repeat.Cached != (solves == 0) || solves != 0 {
+				t.Errorf("%s repeat %d replied cached=%v and ran %d eigensolve(s); want cached=true and none", alg, i, repeat.Cached, solves)
+			}
+			if fmt.Sprint(repeat.Perm) != fmt.Sprint(first.Perm) {
+				t.Fatalf("%s repeat %d permutation differs from the first reply", alg, i)
+			}
+		}
+	}
+}
+
+// TestFiedlerRejectsDisconnected pins that /v1/fiedler answers 400 on a
+// graph with no Fiedler vector, naming its component count, instead of a
+// null-space vector marked converged.
+func TestFiedlerRejectsDisconnected(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Seed: 3})
+	resp, raw := postMM(t, ts.URL+"/v1/fiedler", mmBody(t, twoGrids()), nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "2 component") {
+		t.Fatalf("/v1/fiedler on two grids: status %d: %s; want 400 naming 2 components", resp.StatusCode, raw)
+	}
 }

@@ -9,7 +9,7 @@
 //	GET  /v1/jobs/{id}          poll job status
 //	GET  /v1/jobs/{id}/result   fetch the finished job's ordering
 //	GET  /v1/algorithms         registered algorithm names
-//	GET|POST /v1/fiedler        Fiedler vector + λ2 of a connected graph
+//	GET|POST /v1/fiedler        Fiedler vector + λ2 of a connected graph (400 otherwise)
 //	GET  /healthz               liveness (always 200 while the process serves)
 //	GET  /readyz                readiness: store breaker state and counters
 //	GET  /metrics               Prometheus text exposition

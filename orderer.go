@@ -10,13 +10,13 @@ import (
 // ordering service. Implementations registered with Register become
 // callable by name through Session.Order and race in Auto's per-component
 // portfolio on equal footing with the built-ins, shared artifact cache
-// included. See the pipeline.Orderer contract: in Auto's portfolio the
-// graph is one connected component, through Session.Order it is the
-// caller's whole (possibly disconnected) input, and in either mode
-// OrderRequest.Artifacts, when non-nil, is the memoized artifact cache for
-// exactly that graph. Implementations must be deterministic for a fixed
-// (graph, request), must not retain OrderRequest.Workspace, and must honor
-// ctx cancellation.
+// included. See the pipeline.Orderer contract: an Orderer is always handed
+// one connected component of at least two vertices — Session.Order calls
+// it once per component and concatenates the results — with
+// OrderRequest.Artifacts (the memoized artifact cache for exactly that
+// component) and OrderRequest.Workspace always set. Implementations must
+// be deterministic for a fixed (graph, request), must not retain
+// OrderRequest.Workspace, and must honor ctx cancellation.
 type Orderer = pipeline.Orderer
 
 // OrdererFunc adapts a plain function to the Orderer interface.

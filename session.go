@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/envelope"
-	"repro/internal/perm"
 	"repro/internal/pipeline"
 	"repro/internal/scratch"
 )
@@ -93,8 +91,10 @@ func NewSession(opt SessionOptions) *Session {
 
 // Order runs one registered algorithm (see Algorithms) on g — the whole
 // graph, disconnected inputs included — and reports the uniform Result.
-// The algorithm name is case-insensitive; unknown names error with the
-// registered list.
+// The algorithm orders each connected component of two or more vertices in
+// turn, from that component's cached artifacts, and the component
+// orderings are concatenated largest first. The algorithm name is
+// case-insensitive; unknown names error with the registered list.
 func (s *Session) Order(ctx context.Context, g *Graph, algorithm string) (Result, error) {
 	return s.Do(ctx, g, algorithm, OrderRequest{Seed: s.opt.Seed, Spectral: s.opt.Spectral})
 }
@@ -109,9 +109,11 @@ func (s *Session) OrderWeighted(ctx context.Context, g *Graph, algorithm string,
 // Do runs a registered algorithm with an explicit request — the escape
 // hatch Order and OrderWeighted are sugar over, and the way to pass
 // per-call eigensolver options. The request's Seed defaults to the
-// session's; its Artifacts and Workspace fields are managed by the engine
-// and should be left nil. Result.Stats carries the envelope parameters of
-// the returned ordering.
+// session's; its Artifacts field is managed by the engine and should be
+// left nil, and its Workspace may carry the caller's scratch. Result.Stats
+// carries the envelope parameters of the returned ordering. On a graph
+// with no component of two or more vertices no solve runs, and Result.Info
+// and Result.Solve are nil.
 func (s *Session) Do(ctx context.Context, g *Graph, algorithm string, req OrderRequest) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -124,51 +126,13 @@ func (s *Session) Do(ctx context.Context, g *Graph, algorithm string, req OrderR
 	if req.Seed == 0 {
 		req.Seed = s.opt.Seed
 	}
-	// Pre-default the spectral seed exactly as the portfolio engine does,
-	// so a registered Orderer observes the same request whether it was
-	// invoked here or raced inside Auto.
-	if req.Spectral.Seed == 0 {
-		req.Spectral.Seed = req.Seed
-	}
 	req.Algorithm = name
-	// On connected inputs, hand the orderer the session's memoized
-	// whole-graph artifact cache (eigensolve, peripheral root, pseudo-
-	// diameter): repeated Order calls on the same graph — and mixed
-	// SPECTRAL / SPECTRAL+SLOAN / BFS-rooted calls — then share the
-	// expensive precomputations. Artifacts are pure functions of
-	// (graph, options), so results stay byte-identical to the uncached
-	// path (pinned by the session-equivalence golden test). Components of
-	// < 3 vertices, disconnected graphs, cache-less sessions and
-	// caller-supplied operators (see pipeline.Cache.WholeIfConnected) take
-	// the whole-graph path.
-	cached := false
-	if req.Artifacts == nil && g.N() >= 3 {
-		req.Artifacts = s.cache.WholeIfConnected(g, req.Spectral)
-		cached = req.Artifacts != nil
-	}
 	start := time.Now()
-	// SafeOrder: a panicking registered Orderer becomes this call's error
-	// (*pipeline.PanicError, stack attached) — a third-party algorithm can
-	// fail a request, never the process hosting the Session.
-	res, err := pipeline.SafeOrder(ctx, ord, name, g, &req)
+	res, err := pipeline.Order(ctx, g, name, ord, req, s.cache)
 	res.Algorithm = name
 	res.Elapsed = time.Since(start)
 	if err != nil {
 		return res, err
-	}
-	if cached && res.Perm != nil {
-		// The artifact-backed paths may return the memoized ordering
-		// itself; callers own their Result, so hand out a copy and keep the
-		// cache immutable.
-		res.Perm = append(perm.Perm(nil), res.Perm...)
-	}
-	// Length first: Check only proves the slice permutes its own indices,
-	// and the envelope scorer panics on a size mismatch.
-	if len(res.Perm) != g.N() {
-		return res, fmt.Errorf("envred: %s returned a %d-length ordering for a %d-vertex graph", name, len(res.Perm), g.N())
-	}
-	if cerr := res.Perm.Check(); cerr != nil {
-		return res, fmt.Errorf("envred: %s returned an invalid permutation: %w", name, cerr)
 	}
 	res.Stats = envelope.Compute(g, res.Perm)
 	return res, nil
@@ -222,10 +186,13 @@ func (s *Session) AutoWith(ctx context.Context, g *Graph, opt AutoOptions) (Resu
 	return res, err
 }
 
-// Fiedler computes the Fiedler vector of the connected graph g with the
-// session's eigensolver options, reporting the uniform solver statistics
-// (λ2 in Stats.Lambda). Repeated calls on the same graph are served from
-// the session's artifact cache — the eigensolve runs once.
+// Fiedler computes the Fiedler vector of g with the session's eigensolver
+// options, reporting the uniform solver statistics (λ2 in Stats.Lambda).
+// g must be one connected component of at least two vertices: any other
+// input returns an error naming its component count, since the Laplacian
+// of a disconnected graph has a multiple zero eigenvalue and no Fiedler
+// vector. Repeated calls on the same graph are served from the session's
+// artifact cache — the eigensolve runs once.
 //
 // The vector returned is λ2's, unless λ3 lies within a few percent of λ2:
 // then the default multilevel solver may return λ3's eigenvector instead
@@ -239,19 +206,18 @@ func (s *Session) Fiedler(ctx context.Context, g *Graph) ([]float64, SolveStats,
 	if opt.Seed == 0 {
 		opt.Seed = s.opt.Seed
 	}
+	a, comps := pipeline.Whole(g, opt, s.cache)
+	if a == nil {
+		return nil, SolveStats{}, fmt.Errorf("envred: Fiedler needs one connected component of at least 2 vertices, got %d component(s) on %d vertices", comps, g.N())
+	}
 	ws := scratch.Get()
 	defer scratch.Put(ws)
-	if a := s.cache.WholeIfConnected(g, opt); a != nil {
-		x, st, err := a.Fiedler(ctx, ws)
-		if x != nil {
-			// The memoized vector stays cache-owned; callers get a copy.
-			x = append([]float64(nil), x...)
-		}
-		return x, st, err
+	x, st, err := a.Fiedler(ctx, ws)
+	if x != nil {
+		// The memoized vector stays cache-owned; callers get a copy.
+		x = append([]float64(nil), x...)
 	}
-	// No cache, a caller-supplied operator, or unspecified disconnected
-	// input: solve directly.
-	return core.FiedlerConnectedWS(ctx, ws, g, opt)
+	return x, st, err
 }
 
 // Intern resolves g by content against the session's cache: it returns the

@@ -47,10 +47,10 @@ func mixedGraph() *envred.Graph {
 }
 
 // The session-equivalence golden test: Session calls must stay
-// byte-identical to the direct internal paths they dispatch to
-// (core.SpectralWS, core.SpectralSloanWS, pipeline.Auto, the classical
-// orderings and core.WeightedSpectral) — for fixed seeds, disconnected
-// input included.
+// byte-identical to the whole-graph paths they replaced (the frozen oracle
+// of oracle_test.go: SpectralWS, SpectralSloanWS and WeightedSpectral),
+// to pipeline.Auto and to the classical orderings — for fixed seeds,
+// disconnected input included.
 func TestShimEquivalenceGolden(t *testing.T) {
 	g := mixedGraph()
 	ctx := context.Background()
@@ -59,7 +59,7 @@ func TestShimEquivalenceGolden(t *testing.T) {
 		opt := envred.SpectralOptions{Seed: seed}
 		sess := envred.NewSession(envred.SessionOptions{Seed: seed})
 
-		wantSpectral, wantInfo, err := core.SpectralWS(ctx, ws, g, opt)
+		wantSpectral, wantInfo, err := oracleSpectral(ctx, ws, g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Perm.Equal(wantSpectral) {
-			t.Fatalf("seed %d: Session.Order(SPECTRAL) differs from core.SpectralWS", seed)
+			t.Fatalf("seed %d: Session.Order(SPECTRAL) differs from the SpectralWS oracle", seed)
 		}
 		if *res.Info != wantInfo {
 			t.Fatalf("seed %d: Session.Order(SPECTRAL) info differs:\n%+v\n%+v", seed, *res.Info, wantInfo)
@@ -77,7 +77,7 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			t.Fatalf("seed %d: Session result stats wrong", seed)
 		}
 
-		wantHybrid, _, err := core.SpectralSloanWS(ctx, ws, g, opt)
+		wantHybrid, _, err := oracleSpectralSloan(ctx, ws, g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !hres.Perm.Equal(wantHybrid) {
-			t.Fatalf("seed %d: Session.Order(SPECTRAL+SLOAN) differs from core.SpectralSloanWS", seed)
+			t.Fatalf("seed %d: Session.Order(SPECTRAL+SLOAN) differs from the SpectralSloanWS oracle", seed)
 		}
 
 		aopt := envred.AutoOptions{Seed: seed, Parallelism: 4}
@@ -125,9 +125,9 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			}
 		}
 
-		// Weighted spectral: Session vs direct core path.
+		// Weighted spectral: Session vs the WeightedSpectral oracle.
 		weight := func(u, v int) float64 { return 1 + float64((u*3+v)%5) }
-		wantW, _, err := core.WeightedSpectral(ctx, g, weight, opt)
+		wantW, _, err := oracleWeighted(ctx, g, weight, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,15 +416,16 @@ func TestSessionIntern(t *testing.T) {
 }
 
 // The artifact-backed connected-graph path of Session.Do must stay
-// field-identical to the historical core path — permutation AND spectral
-// diagnostics — and must hand out copies, never the cache's own slices.
+// field-identical to the historical whole-graph path — permutation AND
+// spectral diagnostics — and must hand out copies, never the cache's own
+// slices.
 func TestSessionConnectedCachePathEquivalence(t *testing.T) {
 	g := envred.Grid(17, 13) // connected: Session.Do attaches whole-graph artifacts
 	ctx := context.Background()
 	opt := envred.SpectralOptions{Seed: 11}
 
 	ws := scratch.New()
-	wantP, wantInfo, err := core.SpectralWS(ctx, ws, g, opt)
+	wantP, wantInfo, err := oracleSpectral(ctx, ws, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,12 +435,12 @@ func TestSessionConnectedCachePathEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Perm.Equal(wantP) {
-		t.Fatal("cached connected Session SPECTRAL differs from core.SpectralWS")
+		t.Fatal("cached connected Session SPECTRAL differs from the SpectralWS oracle")
 	}
 	if *got.Info != wantInfo {
 		t.Fatalf("cached connected Session SPECTRAL info differs:\n got %+v\nwant %+v", *got.Info, wantInfo)
 	}
-	wantH, wantHInfo, err := core.SpectralSloanWS(ctx, ws, g, opt)
+	wantH, wantHInfo, err := oracleSpectralSloan(ctx, ws, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,8 +631,14 @@ func TestWrongLengthOrdererIsAnError(t *testing.T) {
 func TestCustomOrdererSeesSameSeedFromBothEntryPoints(t *testing.T) {
 	_ = seedProbeRegistered
 	seeds := map[string][]int64{}
+	mode := ""
+	enter := func(m string) {
+		seedProbeMu.Lock()
+		mode = m
+		seedProbeMu.Unlock()
+	}
 	seedProbeMu.Lock()
-	seedProbeSink = func(mode string, seed int64) { seeds[mode] = append(seeds[mode], seed) }
+	seedProbeSink = func(seed int64) { seeds[mode] = append(seeds[mode], seed) }
 	seedProbeMu.Unlock()
 	defer func() {
 		seedProbeMu.Lock()
@@ -641,9 +648,11 @@ func TestCustomOrdererSeesSameSeedFromBothEntryPoints(t *testing.T) {
 	sess := envred.NewSession(envred.SessionOptions{Seed: 42, CacheGraphs: -1})
 	ctx := context.Background()
 	g := envred.Path(20)
+	enter("order")
 	if _, err := sess.Order(ctx, g, "TEST-SEED-PROBE"); err != nil {
 		t.Fatal(err)
 	}
+	enter("auto")
 	if _, err := sess.AutoWith(ctx, g, envred.AutoOptions{Seed: 42, Portfolio: []string{"TEST-SEED-PROBE"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -659,10 +668,11 @@ func TestCustomOrdererSeesSameSeedFromBothEntryPoints(t *testing.T) {
 
 // The probe orderer is registered once per process (append-only registry,
 // go test -count=N safe) and reports into whatever sink the running test
-// installed under seedProbeMu.
+// installed under seedProbeMu. Both entry points hand an Orderer the same
+// kind of request, so the test itself records which one it is calling.
 var (
 	seedProbeMu   sync.Mutex
-	seedProbeSink func(mode string, seed int64)
+	seedProbeSink func(seed int64)
 )
 
 var seedProbeRegistered = func() bool {
@@ -670,20 +680,10 @@ var seedProbeRegistered = func() bool {
 		func(ctx context.Context, g *envred.Graph, req *envred.OrderRequest) (envred.Result, error) {
 			seedProbeMu.Lock()
 			if seedProbeSink != nil {
-				seedProbeSink(probeMode(req), req.Spectral.Seed)
+				seedProbeSink(req.Spectral.Seed)
 			}
 			seedProbeMu.Unlock()
 			return envred.Result{Perm: envred.Identity(g.N())}, nil
 		}))
 	return true
 }()
-
-// probeMode distinguishes the probe's entry points. Valid only because the
-// probe Session disables caching — with a cache, Session.Order supplies
-// whole-graph Artifacts on connected input too.
-func probeMode(req *envred.OrderRequest) string {
-	if req.Artifacts != nil {
-		return "auto"
-	}
-	return "order"
-}
