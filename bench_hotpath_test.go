@@ -101,18 +101,23 @@ func BenchmarkBuilderBuild(b *testing.B) {
 // BENCH_pipeline.json trajectory tracks. Each row orders through one
 // cache-less Session, so every iteration pays for the whole run
 // (decomposition, extraction, candidates and, in the spectral row, the
-// eigensolves) rather than a cache lookup.
+// eigensolves) rather than a cache lookup. Every row reports the worker
+// pool it ran on as "workers", which benchjson's gate holds to at least
+// two on the parallel row.
 func BenchmarkAutoSuite(b *testing.B) {
 	g, _ := benchDisconnected()
 	ctx := context.Background()
 	run := func(b *testing.B, opt envred.SessionOptions) {
 		sess := benchSession(opt)
 		b.ReportAllocs()
+		var res envred.Result
 		for i := 0; i < b.N; i++ {
-			if _, err := sess.Auto(ctx, g); err != nil {
+			var err error
+			if res, err = sess.Auto(ctx, g); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(res.Report.Parallelism), "workers")
 	}
 	for _, workers := range []int{1, 0} {
 		name := "serial"

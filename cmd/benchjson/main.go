@@ -40,9 +40,9 @@
 // keeps the fused kernels allocation-free. -require takes the same kind of
 // list without the allocation condition: each pattern must match at least
 // one benchmark row, the presence gate that keeps the eigensolver ablation
-// from silently dropping out of the artifact. A row whose name holds
-// "/parallel/" and that reports a "workers" metric below 2 fails the run
-// too, so a one-core run cannot pass for a parallel one. -baseline carries
+// from silently dropping out of the artifact. A row with a name segment
+// "parallel" that reports a "workers" metric below 2 fails the run too,
+// so a one-core run cannot pass for a parallel one. -baseline carries
 // the pre-PR reference record forward: if the given file has a non-empty
 // "baseline" it is preserved verbatim, otherwise its "benchmarks" become
 // the baseline.
@@ -57,6 +57,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -297,13 +298,13 @@ func runGates(name, patterns string, benches []Benchmark, checkAllocs bool) (int
 	return total, ok
 }
 
-// parallelRowsParallel reports whether every "/parallel/" row that reports
-// a "workers" metric ran with at least two workers, naming each one that
-// did not.
+// parallelRowsParallel reports whether every row with a "parallel" name
+// segment that reports a "workers" metric ran with at least two workers,
+// naming each one that did not.
 func parallelRowsParallel(benches []Benchmark) bool {
 	ok := true
 	for _, b := range benches {
-		if w, has := b.Metrics["workers"]; has && strings.Contains(b.Name, "/parallel/") && w < 2 {
+		if w, has := b.Metrics["workers"]; has && slices.Contains(strings.Split(b.Name, "/"), "parallel") && w < 2 {
 			fmt.Fprintf(os.Stderr, "benchjson: %s ran with %g worker(s); a parallel row needs at least 2\n", b.Name, w)
 			ok = false
 		}

@@ -66,4 +66,17 @@ func TestParallelRowsNeedTwoWorkers(t *testing.T) {
 	if parallelRowsParallel(rows(1)) {
 		t.Fatal("a one-worker parallel row passed the gate")
 	}
+	// A name that ends in the "parallel" segment is a parallel row too.
+	autoSuite := func(workers float64) []Benchmark {
+		return []Benchmark{
+			{Name: "BenchmarkAutoSuite/serial", Metrics: map[string]float64{"workers": 1}},
+			{Name: "BenchmarkAutoSuite/parallel", Metrics: map[string]float64{"workers": workers}},
+		}
+	}
+	if !parallelRowsParallel(autoSuite(2)) {
+		t.Fatal("a two-worker BenchmarkAutoSuite/parallel row failed the gate")
+	}
+	if parallelRowsParallel(autoSuite(1)) {
+		t.Fatal("a one-worker BenchmarkAutoSuite/parallel row passed the gate")
+	}
 }

@@ -14,8 +14,7 @@
 //     hierarchy depth, residual, convergence) implemented by a Lanczos
 //     solver, the multilevel Fiedler scheme of §3 (maximal-independent-set
 //     contraction, interpolation, an LOBPCG minimization step, Rayleigh
-//     Quotient Iteration with MINRES inner solves) and standalone RQI
-//     refinement,
+//     Quotient Iteration with MINRES inner solves),
 //   - the spectral ordering itself (Algorithm 1) plus the spectral–Sloan
 //     hybrid the paper's closing section anticipates,
 //   - the classical competitors: reverse Cuthill–McKee, Gibbs–Poole–
@@ -186,15 +185,22 @@
 //
 // Every Fiedler computation goes through the unified engine in
 // internal/solver: a Solver interface (Solve(ctx, ws, g) → vector,
-// SolveStats, error) implemented by the direct Lanczos solver, the §3
-// multilevel scheme and standalone RQI, with the context checked in the
-// restart and V-cycle loops so cancellation and budgets interrupt real
-// work. SpectralOptions.Method picks the scheme (MethodAuto runs the
-// multilevel solver, with an LOBPCG minimization step before each level's
-// RQI, at every size; MethodLanczos forces direct Lanczos), and every layer
+// SolveStats, error) implemented by the direct Lanczos solver and the §3
+// multilevel scheme, with the context checked in the restart and V-cycle
+// loops so cancellation and budgets interrupt real work. Every eigensolve
+// starts in one place, internal/core's FiedlerConnectedWS: the artifact
+// cache's pattern solves and WEIGHTED's direct Lanczos solve on the
+// weighted Laplacian alike, so a cancelled WEIGHTED order returns
+// *ErrCancelled as SPECTRAL does and its solves are counted.
+// SpectralOptions.Method picks the scheme (MethodAuto runs the multilevel
+// solver, with an LOBPCG minimization step before each level's RQI, at
+// every size; MethodLanczos forces direct Lanczos), and every layer
 // reports the same SolveStats record: SpectralInfo.Solve for the ordering
 // entry points, AutoReport.Solve plus a per-spectral-candidate copy for
 // the portfolio engine, and a matvecs column in the harness tables.
+// AutoReport.Eigensolves counts the solve records the run's candidates
+// returned, one per component, and AutoReport.Solve folds them as
+// Session.Order folds its components'.
 // Partial convergence is surfaced, not swallowed: a solver that runs out
 // of budget returns its best vector with Converged=false and the residual
 // quantifying the miss.

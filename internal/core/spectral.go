@@ -6,11 +6,13 @@
 // vertices go straight to its coarsest Lanczos solve; MethodLanczos forces
 // direct Lanczos instead), sorts the eigenvector components in both
 // directions, and keeps the permutation with the smaller envelope
-// (FiedlerConnectedWS, then OrderFiedler). A disconnected matrix is ordered
-// component by component, each with the Fiedler vector of its own
-// Laplacian (the paper's remark in §1); that split lives in the ordering
-// engine (internal/pipeline), which hands every algorithm one connected
-// component at a time.
+// (FiedlerConnectedWS, then OrderFiedler). FiedlerConnectedWS is the one
+// place an eigensolve starts: the weighted variant passes the weighted
+// Laplacian L_w = D_w − W as Options.Operator and runs the same two steps.
+// A disconnected matrix is ordered component by component, each with the
+// Fiedler vector of its own Laplacian (the paper's remark in §1); that
+// split lives in the ordering engine (internal/pipeline), which hands every
+// algorithm one connected component at a time.
 //
 // Theorem 2.3's guarantee, that the rank permutation of the eigenvector is
 // the closest permutation vector to it, is exercised in this package's
@@ -52,9 +54,9 @@ const (
 type Options struct {
 	// Method picks the eigensolver (default MethodAuto).
 	Method Method
-	// Lanczos configures the direct solver, which only MethodLanczos and
-	// WeightedConnected run. The multilevel solver's coarsest solve reads
-	// Multilevel.Lanczos instead.
+	// Lanczos configures the direct solver; only MethodLanczos reads it.
+	// The multilevel solver's coarsest solve reads Multilevel.Lanczos
+	// instead.
 	Lanczos lanczos.Options
 	// Multilevel configures the multilevel solver.
 	Multilevel multilevel.Options
@@ -62,12 +64,12 @@ type Options struct {
 	Seed int64
 	// Operator, when non-nil, is a pre-built Laplacian operator of the
 	// exact (connected) graph being solved, threaded through to the
-	// selected scheme's finest level. The pipeline's per-component artifact
-	// cache uses it to share one operator — with its persistent-pool worker
-	// partition — across a component's spectral candidates. A caller's
-	// operator describes the caller's whole graph: the ordering engine
-	// drives it only when that graph is one connected component, and
-	// solves the components of a disconnected graph without it.
+	// selected scheme's finest level. The pipeline's artifact cache builds
+	// one on the heap for each solve it runs, and the WEIGHTED built-in
+	// passes the weighted Laplacian here. A caller's operator describes the
+	// caller's whole graph: the ordering engine drives it only when that
+	// graph is one connected component, and solves the components of a
+	// disconnected graph without it.
 	Operator laplacian.Interface
 }
 
@@ -164,11 +166,13 @@ func SetEigensolveTestHook(f func(n int)) (restore func()) {
 }
 
 // FiedlerConnectedWS computes the Fiedler vector of the connected graph g
-// with the solver selected by opt, reporting the uniform solver statistics.
-// It is the single eigensolve entry point of the pattern Laplacian: the
-// pipeline's per-component artifact cache funnels through it (and through
-// the eigensolve test hook). The returned vector is freshly allocated and
-// safe to retain; ws is used only for scratch.
+// with the solver selected by opt — of opt.Operator when one is set, of
+// g's pattern Laplacian otherwise — reporting the uniform solver
+// statistics. It is the single eigensolve entry point: the pipeline's
+// per-component artifact cache and the WEIGHTED built-in both funnel
+// through it, and so through EigensolveCount and the eigensolve test hook.
+// The returned vector is freshly allocated and safe to retain; ws is used
+// only for scratch.
 func FiedlerConnectedWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) ([]float64, solver.Stats, error) {
 	eigensolveCount.Add(1)
 	if testHookEigensolve != nil {

@@ -31,8 +31,8 @@ type Options struct {
 	// FinestOp, when non-nil, is a pre-built Laplacian operator of the
 	// input graph, used for the finest-level smoothing/RQI sweeps (and the
 	// direct solve when no coarsening happens) instead of constructing one.
-	// The pipeline's artifact cache threads the component's shared operator
-	// — with its persistent-pool worker partition — through here.
+	// The pipeline's artifact cache threads the heap operator it builds for
+	// a component's solve through here.
 	FinestOp laplacian.Interface
 }
 

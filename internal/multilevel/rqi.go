@@ -66,9 +66,8 @@ type RQIResult struct {
 // small end of the spectrum: x ← x − ω·D⁻¹(Lx − ρx), keeping x ⊥ 1. It
 // knocks the piecewise-constant interpolation artifacts (high-frequency
 // error) out of the iterate before RQI locks onto an eigenpair. It returns
-// the matvec count (one Laplacian application per sweep). Exported for the
-// standalone RQI solver in internal/solver, which smooths its random start
-// the same way the V-cycle smooths an interpolant.
+// the matvec count (one Laplacian application per sweep). The V-cycle
+// smooths every interpolant with it.
 func JacobiSmoothWS(ws *scratch.Workspace, g *graph.Graph, op laplacian.Interface, x []float64, steps int) int {
 	n := g.N()
 	m := ws.Mark()

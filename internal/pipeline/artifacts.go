@@ -53,21 +53,17 @@ type Artifacts struct {
 	probed       bool
 	persistLevel int // 0 nothing, 1 fiedler, 2 fiedler+spectral written
 
-	opOnce sync.Once
-	op     laplacian.Interface
-
 	// memo is a capacity-1 semaphore serializing the Fiedler solve and the
 	// spectral ordering derived from it (the second racing spectral
 	// candidate blocks until the first finishes — the sync.Once behavior,
 	// but retryable after a cancelled solve). A semaphore rather than a
 	// mutex so a waiter whose context expires mid-wait can give up instead
 	// of sitting behind another caller's minutes-long solve (lockCtx).
-	// mu guards the memoized fields and the use counter for the brief
-	// snapshot reads (fiedlerReport, solveUses), which must never park
-	// behind a solve in flight under the semaphore.
+	// mu guards the memoized fields. The envelope memo (SpectralStats) is
+	// filled outside the semaphore, by whichever concurrent caller scans
+	// first, so mu alone orders its reads and writes.
 	memo          chan struct{}
 	mu            sync.Mutex
-	uses          int // Fiedler/Spectral consumptions (see solveUses)
 	fiedlerDone   bool
 	fiedlerVec    []float64
 	fiedlerStats  solver.Stats
@@ -214,32 +210,13 @@ func isCancelled(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// Operator returns the component's memoized Laplacian operator —
-// heap-backed (never workspace-backed), parallelized by the laplacian auto
-// heuristics, its worker partition computed once — or the caller's own
-// operator (core.Options.Operator) when the artifacts were built with one.
-// The instance supports one matvec at a time (see ParallelOp), which holds
-// today because the only consumer is the Fiedler solve serialized under
-// the artifact mutex; a future candidate that runs its own matvecs
-// concurrently must wrap the component in its own ParallelOp instead of
-// borrowing this one.
-func (a *Artifacts) Operator() laplacian.Interface {
-	a.opOnce.Do(func() {
-		a.op = a.opt.Operator
-		if a.op == nil {
-			a.op = laplacian.Auto(a.g)
-		}
-	})
-	return a.op
-}
-
 // Fiedler returns the component's memoized Fiedler vector and solver
 // statistics, computing them on first call (ws is used only for that
 // computation's scratch). Both spectral portfolio candidates call this, so
-// the component pays for exactly one eigensolve, run against the shared
-// component operator. A cancelled solve is returned but not memoized, and
-// a caller whose ctx expires while waiting behind another caller's solve
-// returns *lanczos.ErrCancelled instead of blocking out its deadline.
+// the component pays for exactly one eigensolve. A cancelled solve is
+// returned but not memoized, and a caller whose ctx expires while waiting
+// behind another caller's solve returns *lanczos.ErrCancelled instead of
+// blocking out its deadline.
 //
 // The returned vector is the memoized slice every other candidate (and
 // every later cached call) reads: treat it as read-only, copying before
@@ -249,9 +226,6 @@ func (a *Artifacts) Fiedler(ctx context.Context, ws *scratch.Workspace) ([]float
 		return nil, solver.Stats{}, &lanczos.ErrCancelled{Cause: err}
 	}
 	defer a.unlock()
-	a.mu.Lock()
-	a.uses++
-	a.mu.Unlock()
 	vec, st, err := a.fiedlerLocked(ctx, ws)
 	a.tier2Save()
 	return vec, st, err
@@ -278,7 +252,13 @@ func (a *Artifacts) fiedlerLocked(ctx context.Context, ws *scratch.Workspace) ([
 	}
 	a.mu.Unlock()
 	opt := a.opt
-	opt.Operator = a.Operator()
+	if opt.Operator == nil {
+		// Built on the heap and dropped after its one solve: a cached
+		// component keeps the answer, not the machinery. (Built from ws
+		// instead, it shifts which pooled arena slots hold which buffers,
+		// and cold solves measured slower.)
+		opt.Operator = laplacian.Auto(a.g)
+	}
 	vec, st, err := core.FiedlerConnectedWS(ctx, ws, a.g, opt)
 	if isCancelled(err) {
 		return vec, st, err
@@ -303,7 +283,6 @@ func (a *Artifacts) Spectral(ctx context.Context, ws *scratch.Workspace) (o perm
 	}
 	defer a.unlock()
 	a.mu.Lock()
-	a.uses++
 	if a.spectralDone {
 		o, esize, reversed, st, err := a.spectralOrd, a.spectralEsize, a.spectralRev, a.fiedlerStats, a.fiedlerErr
 		a.mu.Unlock()
@@ -356,25 +335,6 @@ func (a *Artifacts) SpectralStats(ctx context.Context, ws *scratch.Workspace) (o
 	a.envStats, a.envDone = stats, true
 	a.mu.Unlock()
 	return
-}
-
-// fiedlerReport snapshots the memoized eigensolve outcome for the run
-// report (stage 3 of Auto), without racing a concurrent run that shares
-// this Artifacts through a Session cache.
-func (a *Artifacts) fiedlerReport() (done bool, st solver.Stats, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.fiedlerDone, a.fiedlerStats, a.fiedlerErr
-}
-
-// solveUses counts Fiedler/Spectral consumptions over the artifact's
-// lifetime. Auto snapshots it around a run to attribute a (possibly
-// cross-call-cached) eigensolve to the report only when one of the run's
-// own candidates actually read it.
-func (a *Artifacts) solveUses() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.uses
 }
 
 // Root returns the memoized George–Liu pseudo-peripheral vertex of the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/envelope"
 	"repro/internal/graph"
+	"repro/internal/laplacian"
 	"repro/internal/order"
 	"repro/internal/perm"
 	"repro/internal/scratch"
@@ -241,24 +242,19 @@ func TestArtifactsMemoization(t *testing.T) {
 	}
 }
 
-// TestArtifactsOperatorShared pins the per-component operator artifact: one
-// Laplacian operator (with its worker partition) is built per component and
-// every access — including the Fiedler solve — sees the same instance.
-func TestArtifactsOperatorShared(t *testing.T) {
+// TestArtifactsSolveReportsAutoWorkers pins the operator behind an
+// artifact's Fiedler solve: the pattern Laplacian laplacian.Auto builds,
+// whose SpMV worker count the solve record reports.
+func TestArtifactsSolveReportsAutoWorkers(t *testing.T) {
 	g := graph.Grid(20, 15)
 	art := newArtifacts(g, core.Options{Seed: 3}, nil)
-	op1 := art.Operator()
-	if op1 == nil || op1.Dim() != g.N() {
-		t.Fatalf("Operator artifact wrong: %v", op1)
-	}
-	if op2 := art.Operator(); op2 != op1 {
-		t.Fatal("Operator artifact rebuilt on second access")
-	}
 	ws := scratch.Get()
 	defer scratch.Put(ws)
-	if _, st, err := art.Fiedler(context.Background(), ws); err != nil {
+	_, st, err := art.Fiedler(context.Background(), ws)
+	if err != nil {
 		t.Fatal(err)
-	} else if st.Workers != op1.Workers() {
-		t.Fatalf("Fiedler solve reports %d workers, shared operator has %d", st.Workers, op1.Workers())
+	}
+	if want := laplacian.AutoWorkers(g.N(), len(g.Adj)); st.Workers != want {
+		t.Fatalf("Fiedler solve reports %d workers, laplacian.AutoWorkers gives %d", st.Workers, want)
 	}
 }

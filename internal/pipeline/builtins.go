@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/laplacian"
 	"repro/internal/order"
 	"repro/internal/perm"
 	"repro/internal/solver"
@@ -82,9 +83,23 @@ func init() {
 		if req.Weight == nil {
 			return Result{}, fmt.Errorf("pipeline: %s needs an edge-weight function (OrderRequest.Weight / Options.Weight)", AlgWeighted)
 		}
-		// The weighted solve has no artifact to share: its operator is
-		// value-dependent, the pattern cache's is not.
-		o, st, reversed, err := core.WeightedConnected(ctx, req.Workspace, g, req.Weight, req.Spectral)
-		return fiedlerResult(o, st, reversed, err)
+		// Algorithm 1 on L_w = D_w − W (weights |a_uv|): sorting its
+		// Fiedler vector places strongly coupled rows adjacently, while the
+		// envelope that picks the sort direction stays pattern-based. The
+		// value-dependent operator has no artifact to share, and it runs
+		// direct Lanczos because the multilevel hierarchy is pattern-only.
+		op, err := laplacian.NewWeighted(g, req.Weight)
+		if err != nil {
+			return Result{}, err
+		}
+		opt := req.Spectral
+		opt.Operator = op
+		opt.Method = core.MethodLanczos
+		x, st, err := core.FiedlerConnectedWS(ctx, req.Workspace, g, opt)
+		if err != nil {
+			return fiedlerResult(nil, st, false, err)
+		}
+		o, _, reversed := core.OrderFiedler(req.Workspace, g, x)
+		return fiedlerResult(o, st, reversed, nil)
 	}))
 }

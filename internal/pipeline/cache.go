@@ -168,9 +168,10 @@ func (c *Cache) Clear() {
 // cacheable reports whether runs under opt may be served from a Cache. A
 // caller-supplied operator (Operator or Multilevel.FinestOp) is an exact
 // instance the caller wants driven (instrumented or preconditioned), while
-// cached artifacts install their own shared operator, and a warm entry
-// would hand back a solve this call's operator never drove. Such runs are
-// served uncached, so the artifact maps key on operator-free options.
+// a cached artifact's solve ran on an operator of its own, and a warm
+// entry would hand back a solve this call's operator never drove. Such
+// runs are served uncached, so the artifact maps key on operator-free
+// options.
 func cacheable(opt core.Options) bool {
 	return opt.Operator == nil && opt.Multilevel.FinestOp == nil
 }

@@ -39,13 +39,12 @@ import (
 // req.Workspace or any buffer from it past the call, must treat slices
 // obtained from req.Artifacts (the Fiedler vector, the spectral ordering)
 // as read-only — they are the memoized copies every other candidate and
-// later cached call reads — must not drive req.Artifacts.Operator()
-// themselves (the shared instance supports one matvec at a time and may be
-// mid-eigensolve on another worker; wrap the graph in laplacian.Auto for a
-// private operator) — and must honor ctx:
-// return promptly (with ctx.Err() or a *lanczos.ErrCancelled) once it is
-// cancelled. Only Result.Perm and optionally Result.Solve and Result.Info
-// need to be filled in; the engine computes Stats, Algorithm and Elapsed.
+// later cached call reads — and must honor ctx: return promptly (with
+// ctx.Err() or a *lanczos.ErrCancelled) once it is cancelled. Only
+// Result.Perm and optionally Result.Solve and Result.Info need to be
+// filled in; the engine computes Stats, Algorithm and Elapsed. A returned
+// Result.Solve is the candidate's solve record: Auto folds the first one
+// per component into its report (see Report.Eigensolves).
 //
 // A panic in an implementation fails the call, not the process: every
 // engine entry point (Order, the portfolio race, batch workers) recovers

@@ -124,17 +124,18 @@ type Report struct {
 	Stats       envelope.Stats
 	Parallelism int
 	Seconds     float64
-	// Eigensolves counts the Fiedler solves this run's candidates consumed:
-	// with both spectral candidates in the portfolio this is one per
-	// nontrivial component, not two — the per-component artifact cache
-	// shares the solve. A solve served from a Session's cross-call cache
-	// counts only when a candidate of this run read it; a spectral-free
-	// portfolio reports zero even on a warm cache.
+	// Eigensolves counts the solve records this run's candidates returned,
+	// at most one per component: that of the component's first candidate,
+	// in portfolio order, that returned one and was not cancelled. With
+	// both spectral candidates in the portfolio this is one per nontrivial
+	// component, not two — the per-component artifact cache shares the
+	// solve. A solve served from a Session's cross-call cache counts when a
+	// candidate of this run returned it; a spectral-free portfolio reports
+	// zero even on a warm cache.
 	Eigensolves int
-	// Solve aggregates the eigensolver statistics across all components:
-	// counters summed, estimates (λ2, residual, hierarchy shape) from the
-	// largest component that ran a solve, Converged and FromStore and-ed
-	// across the consumed solves.
+	// Solve folds those records in component order, as Order does:
+	// estimates (λ2, residual, hierarchy shape) from the first (largest)
+	// component's, counters summed, Converged and FromStore and-ed.
 	Solve solver.Stats
 }
 
@@ -171,6 +172,9 @@ type candidate struct {
 	Candidate
 	order perm.Perm
 	stats envelope.Stats
+	// cancelled marks a candidate its context stopped; its Solve, if any,
+	// is not folded into the run's.
+	cancelled bool
 }
 
 // componentWork is the per-component state shared between stages; sub
@@ -243,16 +247,6 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 		}
 	}
 
-	// Snapshot each artifact's consumption count: cached artifacts may
-	// carry an eigensolve from an earlier run on the same graph, which this
-	// run's report must claim only if one of its own candidates reads it.
-	usesBefore := make([]int, len(work))
-	for i, w := range work {
-		if w.art != nil {
-			usesBefore[i] = w.art.solveUses()
-		}
-	}
-
 	// Stage 2: race the portfolio — one task per (component, algorithm)
 	// pair, so a single huge component still exploits portfolio-width
 	// parallelism. Each task writes only its own slot; no locks needed.
@@ -303,6 +297,7 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 		slot.Solve = ores.Solve
 		if err != nil {
 			slot.Err = err.Error()
+			slot.cancelled = isCancelled(err)
 			return
 		}
 		s := envelope.ComputeInto(ws, w.sub, o)
@@ -316,63 +311,25 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 		return nil, rep, err
 	}
 
-	// Stage 3: pick winners and stitch, in deterministic component order.
-	// Eigensolver statistics aggregate largest-component-first: the first
-	// component whose solve succeeded provides the estimates; every solve
-	// consumed by this run's candidates — errored ones included —
-	// contributes its counters, any failure or partial convergence clears
-	// the aggregate Converged, and any solve not loaded from the store
-	// clears FromStore. A cached solve no candidate read
-	// (e.g. a spectral-free portfolio on a warm Session cache) is not this
-	// run's work and stays out of the report.
-	out := make(perm.Perm, 0, n)
-	var counters solver.Stats
-	allConverged, allFromStore := true, true
-	haveEstimates := false
-	for i, w := range work {
-		if w.art == nil || w.art.solveUses() == usesBefore[i] {
-			continue
-		}
-		// The use-count delta alone can race a concurrent run sharing this
-		// cached artifact, so additionally require that one of this run's
-		// own candidates reported solver stats — the signature of having
-		// read the solve. WEIGHTED is excluded from that signature: its
-		// stats come from a private value-dependent solve that never moves
-		// the use count, so under a concurrent-run race it must not vouch
-		// for the pattern solve. (A user orderer that reads the artifacts
-		// but reports no Solve makes this attribution best-effort, never
-		// an over-claim by the built-ins.)
-		consumed := false
+	// Stage 3: fold the solve records the candidates returned, one per
+	// component, with Order's rule (see Report.Eigensolves); then pick
+	// winners and stitch, in deterministic component order.
+	for _, w := range work {
 		for ai := range w.cands {
-			if w.cands[ai].Solve != nil && names[ai] != AlgWeighted {
-				consumed = true
-				break
+			c := &w.cands[ai]
+			if c.Solve == nil || c.cancelled {
+				continue
 			}
-		}
-		if !consumed {
-			continue
-		}
-		done, st, ferr := w.art.fiedlerReport()
-		if !done {
-			continue
-		}
-		rep.Eigensolves++
-		counters.AddCounters(st)
-		if ferr != nil || !st.Converged {
-			allConverged = false
-		}
-		allFromStore = allFromStore && st.FromStore
-		if !haveEstimates && ferr == nil {
-			rep.Solve = st
-			haveEstimates = true
+			if rep.Eigensolves == 0 {
+				rep.Solve = *c.Solve
+			} else {
+				foldSolve(&rep.Solve, *c.Solve)
+			}
+			rep.Eigensolves++
+			break
 		}
 	}
-	if rep.Eigensolves > 0 {
-		// Replace the estimate-solve's own counters with the run totals.
-		rep.Solve.MatVecs, rep.Solve.RQIIterations, rep.Solve.JacobiSweeps = 0, 0, 0
-		rep.Solve.AddCounters(counters)
-		rep.Solve.Converged, rep.Solve.FromStore = allConverged, allFromStore
-	}
+	out := make(perm.Perm, 0, n)
 	for ci, w := range work {
 		cr := ComponentReport{Index: ci, Size: w.size}
 		var local perm.Perm

@@ -19,7 +19,7 @@ func StoreKeyFor(g *graph.Graph, sopt core.Options) store.Key {
 }
 
 // artKey clears the per-solve operator fields of opt: they are plumbing
-// (cached artifacts install their own shared operator), not identity.
+// (a cached artifact's solve builds its own operator), not identity.
 func artKey(opt core.Options) core.Options {
 	opt.Operator = nil
 	opt.Multilevel.FinestOp = nil

@@ -1,12 +1,13 @@
 // Package solver defines the unified eigensolver engine behind the
 // spectral ordering: a single Solver interface with uniform per-solve
-// statistics, implemented by the direct Lanczos solver, the §3 multilevel
-// scheme and standalone Rayleigh Quotient Iteration.
+// statistics, implemented by the two schemes core.Options.Solver builds —
+// the direct Lanczos solver and the §3 multilevel scheme, whose V-cycle
+// refines each level with Rayleigh Quotient Iteration.
 //
 // The abstraction exists so every layer above — internal/core's Algorithm 1
 // dispatch, the portfolio pipeline's per-component artifact cache, the
 // harness tables and the benchmark tooling — consumes one instrumented
-// surface instead of three ad-hoc result types. Every Solve threads a
+// surface instead of two ad-hoc result types. Every Solve threads a
 // scratch.Workspace down into the hierarchy construction and V-cycle
 // refinement, so repeated solves on warm arenas run without per-level
 // allocations.
@@ -15,13 +16,10 @@ package solver
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/lanczos"
 	"repro/internal/laplacian"
-	"repro/internal/linalg"
 	"repro/internal/multilevel"
 	"repro/internal/scratch"
 )
@@ -30,7 +28,6 @@ import (
 const (
 	SchemeLanczos    = "lanczos"
 	SchemeMultilevel = "multilevel"
-	SchemeRQI        = "rqi"
 )
 
 // Stats is the uniform per-solve telemetry every Solver reports. Counters
@@ -96,7 +93,7 @@ func (s *Stats) Accumulate(o Stats) {
 // returned vector is freshly allocated (never workspace-backed) and safe to
 // retain; implementations use ws only for scratch.
 type Solver interface {
-	// Name identifies the scheme ("lanczos", "multilevel", "rqi").
+	// Name identifies the scheme ("lanczos" or "multilevel").
 	Name() string
 	// Solve computes the Fiedler pair of the connected graph g. A non-nil
 	// error means no usable vector was produced; partial convergence is
@@ -112,10 +109,10 @@ type Solver interface {
 // whole graph, restarted from the best Ritz vector.
 type Lanczos struct {
 	Opt lanczos.Options
-	// Op, when non-nil, is a pre-built Laplacian operator of the graph
-	// passed to Solve — the pipeline's artifact cache shares one (with its
-	// worker partition) across a component's candidates. Nil builds one per
-	// solve, parallelized above the laplacian auto thresholds.
+	// Op, when non-nil, is the operator to solve — a pre-built Laplacian
+	// of the graph passed to Solve, pattern or weighted. Nil builds the
+	// pattern Laplacian per solve, parallelized above the laplacian auto
+	// thresholds.
 	Op laplacian.Interface
 }
 
@@ -162,7 +159,7 @@ func (s Lanczos) Solve(ctx context.Context, ws *scratch.Workspace, g *graph.Grap
 type Multilevel struct {
 	Opt multilevel.Options
 	// Op, when non-nil, is a pre-built Laplacian operator of the finest
-	// graph, shared with the refinement sweeps there (see Lanczos.Op).
+	// graph, driven by the refinement sweeps there (see Lanczos.Op).
 	Op laplacian.Interface
 }
 
@@ -194,65 +191,4 @@ func (s Multilevel) Solve(ctx context.Context, ws *scratch.Workspace, g *graph.G
 		return res.Vector, st, err
 	}
 	return res.Vector, st, nil
-}
-
-// RQI is standalone Rayleigh Quotient Iteration from a supplied (or seeded
-// random, Jacobi-smoothed) start vector. RQI converges cubically to the
-// eigenpair nearest its start, so it is a refinement scheme, not a global
-// solver: use it to polish an approximate Fiedler vector, or for ablations
-// against the full multilevel driver.
-type RQI struct {
-	Opt multilevel.RQIOptions
-	// SmoothSteps smooths a random start toward the low end of the spectrum
-	// before iterating (ignored when Start is set). Default 10.
-	SmoothSteps int
-	// Seed drives the random start vector.
-	Seed int64
-	// Start, when non-nil, is the initial iterate (copied, not modified).
-	Start []float64
-}
-
-// Name implements Solver.
-func (RQI) Name() string { return SchemeRQI }
-
-// Solve implements Solver.
-func (s RQI) Solve(ctx context.Context, ws *scratch.Workspace, g *graph.Graph) ([]float64, Stats, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, Stats{Scheme: SchemeRQI}, fmt.Errorf("solver: empty graph")
-	}
-	x := make([]float64, n)
-	st := Stats{Scheme: SchemeRQI, Levels: 1, CoarsestN: n}
-	if s.Start != nil {
-		if len(s.Start) != n {
-			return nil, st, fmt.Errorf("solver: rqi start has length %d, want %d", len(s.Start), n)
-		}
-		copy(x, s.Start)
-	} else {
-		rng := rand.New(rand.NewSource(s.Seed*2654435761 + 12345))
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		linalg.ProjectOutOnes(x)
-		linalg.Normalize(x)
-	}
-	m := ws.Mark()
-	defer ws.Release(m)
-	op := laplacian.AutoFrom(g, ws.Float64s(n))
-	st.Workers = op.Workers()
-	if s.Start == nil {
-		steps := s.SmoothSteps
-		if steps == 0 {
-			steps = 10
-		}
-		st.MatVecs += multilevel.JacobiSmoothWS(ws, g, op, x, steps)
-		st.JacobiSweeps += steps
-	}
-	res := multilevel.RQIOnWS(ctx, ws, op, x, s.Opt)
-	st.Lambda = res.Lambda
-	st.Residual = res.Residual
-	st.MatVecs += res.MatVecs
-	st.RQIIterations = res.Iterations
-	st.Converged = res.Converged
-	return x, st, nil
 }

@@ -87,55 +87,6 @@ func TestLanczosPartialConvergenceSurfaces(t *testing.T) {
 	}
 }
 
-// Standalone RQI from a perturbed exact start must lock onto λ2 of the
-// path: λ2 = 2(1 − cos(π/n)).
-func TestRQIPolishesStartOnPath(t *testing.T) {
-	const n = 300
-	g := graph.Path(n)
-	want := 2 * (1 - math.Cos(math.Pi/n))
-	// Exact Fiedler vector of the path: x_v = cos(π(v + 1/2)/n).
-	start := make([]float64, n)
-	for v := 0; v < n; v++ {
-		start[v] = math.Cos(math.Pi*(float64(v)+0.5)/float64(n)) + 0.02*math.Sin(float64(7*v))
-	}
-	ws := scratch.New()
-	_, st, err := RQI{Start: start}.Solve(context.Background(), ws, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(st.Lambda-want) > 1e-6*(1+want) {
-		t.Fatalf("RQI λ = %g, want %g (residual %g)", st.Lambda, want, st.Residual)
-	}
-	if st.RQIIterations == 0 && !st.Converged {
-		t.Fatalf("no iterations and not converged: %+v", st)
-	}
-}
-
-// The random-start RQI path must produce a unit vector orthogonal to ones
-// and a nonnegative Rayleigh quotient.
-func TestRQIRandomStart(t *testing.T) {
-	g := graph.Grid(20, 20)
-	ws := scratch.New()
-	x, st, err := RQI{Seed: 3}.Solve(context.Background(), ws, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum, nrm float64
-	for _, v := range x {
-		sum += v
-		nrm += v * v
-	}
-	if math.Abs(sum) > 1e-8 || math.Abs(nrm-1) > 1e-8 {
-		t.Fatalf("1ᵀx = %g, ‖x‖² = %g", sum, nrm)
-	}
-	if st.Lambda < 0 {
-		t.Fatalf("negative λ %g", st.Lambda)
-	}
-	if st.JacobiSweeps == 0 || st.MatVecs == 0 {
-		t.Fatalf("random-start smoothing not instrumented: %+v", st)
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	a := Stats{Lambda: 1, Residual: 2, MatVecs: 10, RQIIterations: 3, JacobiSweeps: 4, Levels: 5, CoarsestN: 6, Converged: true}
 	a.Accumulate(Stats{MatVecs: 7, RQIIterations: 1, JacobiSweeps: 2, Converged: true})

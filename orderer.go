@@ -40,8 +40,7 @@ type Result = pipeline.Result
 // most once per component. Registered Orderers reach it via
 // OrderRequest.Artifacts; slices obtained from it (the Fiedler vector,
 // the spectral ordering) are the shared memoized copies and must be
-// treated as read-only, and its Operator() must not be driven by user
-// orderers (one matvec at a time, possibly mid-eigensolve elsewhere).
+// treated as read-only.
 type Artifacts = pipeline.Artifacts
 
 // DefaultCacheGraphs is the default capacity of a Session's per-graph

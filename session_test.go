@@ -3,6 +3,7 @@ package envred_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -577,6 +578,154 @@ func TestReportClaimsOnlyConsumedEigensolves(t *testing.T) {
 	if spectral.Report.Eigensolves != 1 || atomic.LoadInt64(&solves) != 0 {
 		t.Fatalf("spectral run on warm cache: Eigensolves=%d, fresh solves=%d; want 1 consumed, 0 run",
 			spectral.Report.Eigensolves, solves)
+	}
+}
+
+// countSolves runs f with the eigensolve hook installed and returns how
+// many eigensolves the hook and core.EigensolveCount each saw.
+func countSolves(f func()) (hooked, counted int64) {
+	var n int64
+	restore := core.SetEigensolveTestHook(func(int) { atomic.AddInt64(&n, 1) })
+	defer restore()
+	before := core.EigensolveCount()
+	f()
+	return atomic.LoadInt64(&n), core.EigensolveCount() - before
+}
+
+// mixedWeight is a positive, non-uniform edge weight for mixedGraph.
+func mixedWeight(u, v int) float64 { return 1 + float64((u+v)%3) }
+
+// WEIGHTED solves through the one eigensolve entry point, so the hook and
+// EigensolveCount see its solves: one per component of two or more
+// vertices (mixedGraph's grid, path, cycle and edge).
+func TestWeightedOrderCountsEigensolves(t *testing.T) {
+	g := mixedGraph()
+	sess := envred.NewSession(envred.SessionOptions{Seed: 2})
+	var res envred.Result
+	hooked, counted := countSolves(func() {
+		var err error
+		if res, err = sess.OrderWeighted(context.Background(), g, envred.AlgWeighted, mixedWeight); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hooked != 4 || counted != 4 {
+		t.Fatalf("WEIGHTED on 4 nontrivial components: hook saw %d eigensolves, EigensolveCount %d; want 4 and 4", hooked, counted)
+	}
+	if res.Solve == nil || res.Solve.Scheme != "lanczos" || res.Solve.Workers != 1 {
+		t.Fatalf("WEIGHTED solve record %+v, want a lanczos solve on 1 worker", res.Solve)
+	}
+}
+
+// expiringCtx is a context whose deadline passes at its n-th Err check:
+// the Lanczos restart loop checks once per cycle, so the solve is
+// interrupted after a fixed number of cycles whatever the host's speed.
+type expiringCtx struct {
+	context.Context
+	checks atomic.Int32
+	n      int32
+	done   chan struct{}
+	once   sync.Once
+}
+
+func newExpiringCtx(n int32) *expiringCtx {
+	return &expiringCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *expiringCtx) Done() <-chan struct{} { return c.done }
+
+func (c *expiringCtx) Err() error {
+	if c.checks.Add(1) < c.n {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.DeadlineExceeded
+}
+
+// A WEIGHTED order whose deadline passes mid-solve fails with
+// *ErrCancelled, as SPECTRAL does, instead of ordering by the unconverged
+// vector: cancellation may change the cost of an answer, never the
+// answer.
+func TestWeightedCancelMidEigensolve(t *testing.T) {
+	g := envred.Grid(30, 20)
+	sess := envred.NewSession(envred.SessionOptions{})
+	res, err := sess.Do(newExpiringCtx(3), g, envred.AlgWeighted, envred.OrderRequest{
+		Seed:     1,
+		Spectral: envred.SpectralOptions{Seed: 1, Lanczos: lanczosUnreachable(12)},
+		Weight:   func(u, v int) float64 { return 1 + float64((7*u+7*v)%10) },
+	})
+	var ce *envred.ErrCancelled
+	if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WEIGHTED past its deadline returned err %v (%T), want *ErrCancelled wrapping DeadlineExceeded", err, err)
+	}
+	if res.Perm != nil {
+		t.Fatalf("cancelled WEIGHTED order returned a %d-entry permutation", len(res.Perm))
+	}
+}
+
+// Auto reports the solves its candidates returned, WEIGHTED's included:
+// one per component of more than two vertices, each one an eigensolve
+// that ran.
+func TestAutoCountsWeightedSolves(t *testing.T) {
+	g := mixedGraph()
+	sess := envred.NewSession(envred.SessionOptions{Seed: 2})
+	var res envred.Result
+	hooked, _ := countSolves(func() {
+		var err error
+		res, err = sess.AutoWith(context.Background(), g, envred.AutoOptions{
+			Seed:      2,
+			Portfolio: []string{envred.AlgRCM, envred.AlgWeighted},
+			Weight:    mixedWeight,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Report.Eigensolves != 3 || res.Solve == nil || hooked != 3 {
+		t.Fatalf("[RCM, WEIGHTED] on 3 nontrivial components: Eigensolves=%d, Solve=%v, %d eigensolves ran; want 3, a record, 3",
+			res.Report.Eigensolves, res.Solve, hooked)
+	}
+}
+
+// Concurrent Auto runs on one caching Session and one graph each report
+// only the solves their own candidates returned: a spectral-free run
+// none, a default-portfolio run one per nontrivial component, however
+// the runs interleave on the shared artifacts.
+func TestConcurrentAutoReportsOwnSolves(t *testing.T) {
+	g := mixedGraph()
+	sess := envred.NewSession(envred.SessionOptions{Seed: 5})
+	ctx := context.Background()
+	const workers = 4
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				spectralFree := (w+i)%2 == 0
+				opt := envred.AutoOptions{Seed: 5}
+				if spectralFree {
+					opt.Portfolio = []string{envred.AlgRCM, envred.AlgSloan}
+				}
+				res, err := sess.AutoWith(ctx, g, opt)
+				switch {
+				case err != nil:
+					errc <- err
+				case spectralFree && (res.Report.Eigensolves != 0 || res.Solve != nil):
+					errc <- fmt.Errorf("RCM/SLOAN run reports %d eigensolves (Solve=%v)", res.Report.Eigensolves, res.Solve)
+				case !spectralFree && (res.Report.Eigensolves != 3 || res.Solve == nil):
+					errc <- fmt.Errorf("default run reports %d eigensolves (Solve=%v), want 3", res.Report.Eigensolves, res.Solve)
+				default:
+					continue
+				}
+				return
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }
 
