@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/scratch"
 )
@@ -44,17 +42,14 @@ type BatchResult struct {
 	Result Result
 	Err    error
 
-	// Value backing for the fast path's Result.Solve/Result.Info, so the
+	// Value backing for a warm item's Result.Solve/Result.Info, so the
 	// steady-state loop never allocates them.
 	solve SolveStats
 	info  SpectralInfo
 }
 
 // orderBatch is the pooled run state of one OrderBatch call — the
-// pipeline.BatchRunner the persistent batch workers drive. Holding the
-// per-item OrderRequests in a reused slice keeps them off the heap: the
-// Orderer interface receives *OrderRequest, which would otherwise escape
-// a stack-allocated request on every item.
+// pipeline.BatchRunner the persistent batch workers drive.
 type orderBatch struct {
 	s       *Session
 	ctx     context.Context
@@ -70,9 +65,10 @@ var orderBatchPool = sync.Pool{New: func() any { return new(orderBatch) }}
 // OrderBatch pipelines many graphs through one algorithm, amortizing what
 // per-call Order cannot: items run on a persistent worker pool whose
 // workspaces stay warm across batches, per-item results land in recycled
-// storage (BatchOptions.Results), and the cached-artifact SPECTRAL path
-// skips every per-call allocation — the serving hot loop of the batch
-// endpoint runs at zero allocations per item once warm (pinned by
+// storage (BatchOptions.Results), and a warm item of a built-in is copied
+// out of the session's answer memo (see Do) without a per-call
+// allocation — the serving hot loop of the batch endpoint runs at zero
+// allocations per item once warm (pinned by
 // TestOrderBatchSteadyStateAllocs).
 //
 // Each item's outcome is byte-identical to a Session.Order call with the
@@ -119,21 +115,14 @@ func (s *Session) OrderBatch(ctx context.Context, graphs []*Graph, opt BatchOpti
 	return results, nil
 }
 
-// RunItem orders item i (pipeline.BatchRunner). The calling worker's
-// workspace serves the whole item: orderer scratch and the envelope scan.
+// RunItem orders item i (pipeline.BatchRunner): exactly Session.Do with
+// the batch's options, into the item's slot. The calling worker's
+// workspace serves the whole item, and a warm item is copied out of the
+// session's answer memo into the slot's recycled storage.
 func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
-	g := b.graphs[i]
 	slot := &b.results[i]
-	if b.name == pipeline.AlgSpectral && b.s.cache != nil {
-		if art, _ := pipeline.Whole(g, b.sopt, b.s.cache); art != nil && b.runFast(slot, art, ws) {
-			return
-		}
-	}
-	// Generic path: exactly Session.Do with the batch's options —
-	// cache-less sessions, disconnected graphs, non-SPECTRAL algorithms and
-	// failed solves all land here and stay bit-for-bit Do-identical.
-	res, err := b.s.Do(b.ctx, g, b.name, OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws})
-	slot.Result, slot.Err = res, err
+	req := OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws}
+	slot.Err = b.s.do(b.ctx, b.graphs[i], b.name, req, &slot.Result, &slot.solve, &slot.info)
 }
 
 // ItemPanicked implements pipeline.BatchPanicHandler: a panic while
@@ -142,36 +131,4 @@ func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
 // persistent pool workers untouched.
 func (b *orderBatch) ItemPanicked(i int, err error) {
 	b.results[i] = BatchResult{Err: err}
-}
-
-// runFast serves one item of a connected graph from the session's memoized
-// SPECTRAL artifacts without allocating: the ordering is copied into the
-// slot's recycled Perm buffer, Solve/Info are backed by slot-owned
-// values, and the envelope statistics come from the artifact's own memo
-// (SpectralStats) instead of a fresh O(n+nnz) scan per request. The
-// memoized ordering was validated when it entered the memo (fresh solves
-// by construction, store hits by the tier-2 probe's Check), so the
-// defensive re-validation Session.Do applies to arbitrary registered
-// orderers is not repeated per item. Returns false — leaving the slot
-// untouched — when the memoized solve errored, deferring to the generic
-// path for the exact Do error shape.
-func (b *orderBatch) runFast(slot *BatchResult, art *Artifacts, ws *scratch.Workspace) bool {
-	start := time.Now()
-	o, stats, reversed, st, err := art.SpectralStats(b.ctx, ws)
-	if err != nil {
-		return false
-	}
-	p := append(slot.Result.Perm[:0], o...)
-	slot.solve = st
-	slot.info = core.ConnectedInfo(st, reversed)
-	slot.Result = Result{
-		Perm:      p,
-		Algorithm: b.name,
-		Stats:     stats,
-		Solve:     &slot.solve,
-		Info:      &slot.info,
-		Elapsed:   time.Since(start),
-	}
-	slot.Err = nil
-	return true
 }

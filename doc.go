@@ -28,8 +28,11 @@
 //     numerical entries,
 //   - Matrix Market and Harwell–Boeing I/O (internal/mm: a coordinate
 //     reader that splits and parses entry lines in place, allocating
-//     nothing per line, and a Harwell–Boeing reader that bounds what it
-//     allocates by what the input holds), spy-plot rendering, and
+//     nothing per line and reading every index, size line included, as
+//     decimal, and a Harwell–Boeing reader that bounds what it allocates
+//     by what the input holds), a JSON decoder on Perm (internal/perm)
+//     that reads what encoding/json reads into a []int32 without
+//     reflecting per entry, spy-plot rendering, and
 //     deterministic generators reproducing the paper's 18 test problems by
 //     size and topology class,
 //   - a parallel portfolio ordering engine (Auto) that decomposes the
@@ -41,7 +44,11 @@
 //     (Register, Lookup, Algorithms) that every built-in self-registers
 //     into and user algorithms join at runtime, and a reusable,
 //     goroutine-safe Session that owns per-graph artifact caches and the
-//     scratch/solver/SpMV worker pools across calls.
+//     scratch/solver/SpMV worker pools across calls. The cache
+//     (internal/pipeline) indexes one LRU of graphs three ways — by
+//     pointer, by content fingerprint (Intern) and by the SHA-256 of the
+//     Matrix Market text a graph came from (InternText, LookupText) — and
+//     memoizes each graph's artifacts and its built-in answers.
 //
 // # Quick start
 //
@@ -57,7 +64,10 @@
 // first. It owns a per-graph artifact cache (component decomposition,
 // extracted subgraphs, Fiedler eigensolves, peripheral roots and pseudo-
 // diameter pairs; LRU-bounded by SessionOptions.CacheGraphs), so repeated
-// calls on the same graph pay for the expensive precomputations once:
+// calls on the same graph pay for the expensive precomputations once. The
+// cache also memoizes the finished answers of the eight pure built-ins
+// (not WEIGHTED, AUTO or registered orderers) per graph, algorithm, seed
+// and spectral options, so a repeated Order copies its first answer out:
 //
 //	sess := envred.NewSession(envred.SessionOptions{Seed: 1})
 //	res, err := sess.Order(ctx, g, envred.AlgSpectral)  // any registered name
@@ -105,11 +115,11 @@
 // is byte-identical to a sequential Session.Order on the same graph, seed
 // and options (pinned by test). The win is amortization, not semantics:
 // a persistent pool of workers (BatchOptions.Workers, default GOMAXPROCS)
-// holds one scratch workspace each across the whole batch, cache-eligible
-// spectral items run a fast path that reuses the Session's memoized
-// eigensolves and envelope statistics, and recycling the Results slice
-// across calls makes the warm steady state allocation-free (0 allocs/op,
-// gated by BenchmarkOrderBatch in CI):
+// holds one scratch workspace each across the whole batch, warm items of
+// the built-ins are copied out of the Session's answer memo as
+// Session.Order's are, and recycling the Results slice across calls makes
+// the warm steady state allocation-free (0 allocs/op, gated by
+// BenchmarkOrderBatch in CI):
 //
 //	results, err := sess.OrderBatch(ctx, graphs, envred.BatchOptions{
 //		Algorithm: envred.AlgSpectral,

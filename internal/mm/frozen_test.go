@@ -85,10 +85,20 @@ func frozenRead(r io.Reader, weighted bool, maxN int) (*graph.Graph, func(u, v i
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows, cols, nnz int
-	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
-		return nil, nil, fmt.Errorf("mm: bad size line %q: %w", sizeLine, err)
+	// The size line is read as decimal, as mm.Read reads it: fmt.Sscan,
+	// which this reader used, also took octal, hex and underscores.
+	sizeFields := strings.Fields(sizeLine)
+	var dims [3]int
+	for k := range dims {
+		err := io.ErrUnexpectedEOF
+		if k < len(sizeFields) {
+			dims[k], err = strconv.Atoi(sizeFields[k])
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("mm: bad size line %q: %w", sizeLine, err)
+		}
 	}
+	rows, cols, nnz := dims[0], dims[1], dims[2]
 	if rows != cols {
 		return nil, nil, fmt.Errorf("mm: matrix is %dx%d, want square", rows, cols)
 	}

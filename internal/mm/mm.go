@@ -162,11 +162,19 @@ func Read(r io.Reader, weighted bool, maxN int) (*graph.Graph, func(u, v int) fl
 			break
 		}
 	}
-	sizeLine := trimmed(sc.Bytes())
-	var rows, cols, nnz int
-	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
-		return nil, nil, fmt.Errorf("mm: bad size line %q: %w", sizeLine, err)
+	// The size line's first three fields are decimal, as entry indices
+	// are; further fields are ignored.
+	var dims [3]int
+	for k := range dims {
+		err := io.ErrUnexpectedEOF
+		if k < nf {
+			dims[k], err = strconv.Atoi(string(f[k]))
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("mm: bad size line %q: %w", trimmed(sc.Bytes()), err)
+		}
 	}
+	rows, cols, nnz := dims[0], dims[1], dims[2]
 	if rows != cols {
 		return nil, nil, fmt.Errorf("mm: matrix is %dx%d, want square", rows, cols)
 	}

@@ -126,3 +126,38 @@ func TestReadNoTrailingNewline(t *testing.T) {
 		t.Fatalf("M = %d", g.M())
 	}
 }
+
+// The size line is decimal, like the entry lines: leading zeros are not
+// octal, and base prefixes and digit separators are refused. A sign is
+// accepted and fields after the third are ignored.
+func TestReadSizeLineIsDecimal(t *testing.T) {
+	const header = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+	accept := []struct {
+		name, body string
+		n, m       int
+	}{
+		{"leading zeros", "012 012 1\n8 9\n", 12, 1},
+		{"plus sign", "+3 3 2\n2 1\n3 2\n", 3, 2},
+		{"trailing token", "3 3 2 junk\n2 1\n3 2\n", 3, 2},
+	}
+	for _, tc := range accept {
+		g, err := ReadGraph(strings.NewReader(header + tc.body))
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if g.N() != tc.n || g.M() != tc.m {
+			t.Errorf("%s: N=%d M=%d, want N=%d M=%d", tc.name, g.N(), g.M(), tc.n, tc.m)
+		}
+	}
+	for name, body := range map[string]string{
+		"hex":          "0x10 0x10 1\n2 1\n",
+		"underscore":   "1_0 1_0 1\n2 1\n",
+		"octal prefix": "0o10 0o10 1\n2 1\n",
+		"two fields":   "3 3\n2 1\n",
+	} {
+		if _, err := ReadGraph(strings.NewReader(header + body)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

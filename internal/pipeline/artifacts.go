@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/envelope"
 	"repro/internal/graph"
 	"repro/internal/lanczos"
 	"repro/internal/laplacian"
@@ -59,9 +58,7 @@ type Artifacts struct {
 	// but retryable after a cancelled solve). A semaphore rather than a
 	// mutex so a waiter whose context expires mid-wait can give up instead
 	// of sitting behind another caller's minutes-long solve (lockCtx).
-	// mu guards the memoized fields. The envelope memo (SpectralStats) is
-	// filled outside the semaphore, by whichever concurrent caller scans
-	// first, so mu alone orders its reads and writes.
+	// mu guards the memoized fields.
 	memo          chan struct{}
 	mu            sync.Mutex
 	fiedlerDone   bool
@@ -72,8 +69,6 @@ type Artifacts struct {
 	spectralOrd   perm.Perm
 	spectralEsize int64
 	spectralRev   bool
-	envDone       bool
-	envStats      envelope.Stats
 
 	rootOnce sync.Once
 	root     int
@@ -216,7 +211,8 @@ func isCancelled(err error) bool {
 // the component pays for exactly one eigensolve. A cancelled solve is
 // returned but not memoized, and a caller whose ctx expires while waiting
 // behind another caller's solve returns *lanczos.ErrCancelled instead of
-// blocking out its deadline.
+// blocking out its deadline — with a zero Stats, since no solve ran (a
+// solve that ran, even a cancelled one, names its Scheme).
 //
 // The returned vector is the memoized slice every other candidate (and
 // every later cached call) reads: treat it as read-only, copying before
@@ -276,7 +272,8 @@ func (a *Artifacts) fiedlerLocked(ctx context.Context, ws *scratch.Workspace) ([
 // it directly; SPECTRAL+SLOAN refines it — neither repeats the
 // eigensolve, the sort or the both-direction envelope scan. Like
 // Fiedler's vector, the returned ordering is the shared memoized slice:
-// read-only, copy before mutating.
+// read-only, copy before mutating. A caller that gives up waiting for the
+// memo gets a zero Stats, as from Fiedler.
 func (a *Artifacts) Spectral(ctx context.Context, ws *scratch.Workspace) (o perm.Perm, esize int64, reversed bool, st solver.Stats, err error) {
 	if lerr := a.lockCtx(ctx); lerr != nil {
 		return nil, 0, false, solver.Stats{}, &lanczos.ErrCancelled{Cause: lerr}
@@ -307,34 +304,6 @@ func (a *Artifacts) Spectral(ctx context.Context, ws *scratch.Workspace) (o perm
 	a.mu.Unlock()
 	a.tier2Save()
 	return o, esize, reversed, st, nil
-}
-
-// SpectralStats is Spectral plus the full envelope statistics of the
-// memoized ordering, themselves memoized: the statistics are a pure
-// function of (component graph, memoized ordering), so like every other
-// artifact they are computed at most once and identical to what
-// envelope.Compute reports on the same ordering. This is what lets the
-// batch fast path serve a warm graph without repeating the O(n+nnz)
-// envelope scan per request. Concurrent first calls may both run the scan
-// (outside the memo semaphore, each in its own workspace) and store the
-// same value — harmless by purity.
-func (a *Artifacts) SpectralStats(ctx context.Context, ws *scratch.Workspace) (o perm.Perm, stats envelope.Stats, reversed bool, st solver.Stats, err error) {
-	o, _, reversed, st, err = a.Spectral(ctx, ws)
-	if err != nil {
-		return
-	}
-	a.mu.Lock()
-	if a.envDone {
-		stats = a.envStats
-		a.mu.Unlock()
-		return
-	}
-	a.mu.Unlock()
-	stats = envelope.ComputeInto(ws, a.g, o)
-	a.mu.Lock()
-	a.envStats, a.envDone = stats, true
-	a.mu.Unlock()
-	return
 }
 
 // Root returns the memoized George–Liu pseudo-peripheral vertex of the

@@ -2,12 +2,15 @@ package pipeline
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/graph"
 	"repro/internal/perm"
 	"repro/internal/scratch"
+	"repro/internal/solver"
 	"repro/internal/store"
 )
 
@@ -16,11 +19,13 @@ import (
 const DefaultCacheGraphs = 8
 
 // maxArtifactOptionSets bounds how many distinct spectral-option variants
-// of a graph's artifacts an entry retains. The LRU bounds graph count;
-// this bounds the per-graph dimension, so a caller sweeping seeds or
-// tolerances on one pinned graph cannot grow memory without bound. On
-// overflow the option map is reset — in-flight runs keep the artifacts
-// they already hold, the next call re-solves.
+// of a graph's artifacts an entry retains, and how many finished answers
+// it memoizes (see Recall): four, the algorithms a serving mix cycles over
+// one graph at one seed. The LRU bounds graph count; this bounds the
+// per-graph dimension, so a caller sweeping seeds or tolerances on one
+// pinned graph cannot grow memory without bound. On overflow the map is
+// reset — in-flight runs keep the artifacts they already hold, the next
+// call re-solves.
 const maxArtifactOptionSets = 4
 
 // Cache memoizes per-graph ordering artifacts across calls: the connected
@@ -35,9 +40,15 @@ const maxArtifactOptionSets = 4
 // Graphs are keyed by pointer identity, which is sound because Graph is
 // immutable. Intern adds a content key: it resolves a graph to the resident
 // instance with the same fingerprint, so callers that parse every request
-// afresh (the envorderd daemon) still reach the memoized artifacts. Entries
-// are evicted least-recently-used beyond the configured capacity, both keys
-// together, bounding the memory a long-lived Session can pin. The Cache —
+// afresh (the envorderd daemon) still reach the memoized artifacts.
+// InternDigest adds a third key over the same entries, the SHA-256 of the
+// latest Matrix Market text a graph was parsed from, so a caller that
+// receives the same text again finds the resident graph (ByDigest) without
+// parsing or fingerprinting it. Each entry also memoizes the finished answers of
+// the pure built-in orderers (Recall, Remember), so a repeated order costs
+// a lookup and a copy. Entries are evicted least-recently-used beyond the
+// configured capacity, every key and answer together, bounding the memory
+// a long-lived Session can pin: no key outlives its graph. The Cache —
 // and with it every artifact it memoizes — lives exactly as long as its
 // Session: eviction or process exit discards the work. Binding a tier-2
 // store (SetStore) is what extends artifact lifetime past the process:
@@ -54,6 +65,7 @@ type Cache struct {
 	max      int
 	entries  map[*graph.Graph]*list.Element
 	interned map[graph.Fingerprint]*list.Element // content index of Intern'd entries
+	texts    map[[sha256.Size]byte]*list.Element // text index of InternDigest'd entries
 	lru      *list.List                          // of *cacheEntry; front = most recently used
 	store    store.Store                         // tier 2; nil = in-memory only
 }
@@ -68,6 +80,7 @@ func NewCache(maxGraphs int) *Cache {
 		max:      maxGraphs,
 		entries:  map[*graph.Graph]*list.Element{},
 		interned: map[graph.Fingerprint]*list.Element{},
+		texts:    map[[sha256.Size]byte]*list.Element{},
 		lru:      list.New(),
 	}
 }
@@ -90,15 +103,19 @@ func (c *Cache) tier2() store.Store {
 }
 
 // cacheEntry is one graph's memo. Its mutex serializes the (one-time)
-// decomposition and the per-options artifact map; the artifacts themselves
-// do their own finer-grained memoization.
+// decomposition, the per-options artifact map and the answer map; the
+// artifacts themselves do their own finer-grained memoization.
 type cacheEntry struct {
 	g     *graph.Graph
 	fp    *graph.Fingerprint // set once Intern has indexed the entry
+	text  [sha256.Size]byte  // digest of the latest text InternDigest indexed the entry under; guarded by Cache.mu
 	mu    sync.Mutex
 	comps [][]int
 	subs  []*graph.Graph // aligned with comps (see resolved)
 	arts  map[core.Options][]*Artifacts
+	// answers memoizes finished orderings (see Recall). An answer is never
+	// mutated once stored, so readers use it after releasing mu.
+	answers map[answerKey]*answer
 }
 
 // entry returns g's cache entry, creating it (and evicting the
@@ -124,6 +141,9 @@ func (c *Cache) elementLocked(g *graph.Graph) *list.Element {
 		if e.fp != nil {
 			delete(c.interned, *e.fp)
 		}
+		if c.texts[e.text] == back {
+			delete(c.texts, e.text)
+		}
 		c.lru.Remove(back)
 	}
 	return el
@@ -134,17 +154,71 @@ func (c *Cache) elementLocked(g *graph.Graph) *list.Element {
 // artifacts, or indexes g's own entry under the fingerprint and returns g
 // and false. The content key lives and dies with the entry's LRU slot.
 func (c *Cache) Intern(g *graph.Graph) (*graph.Graph, bool) {
+	return c.intern(g, nil)
+}
+
+// InternDigest is Intern for a graph parsed from a Matrix Market text
+// whose SHA-256 is digest: it also indexes the entry g resolves to under
+// digest, so ByDigest finds the graph by its text alone. A graph that is
+// already the resident instance of its content — one ByDigest returned —
+// resolves by pointer, without fingerprinting. An entry is indexed under
+// one digest, the latest text's: a text that differs only in comments or
+// white space replaces the one before. The digest lives and dies with the
+// entry.
+func (c *Cache) InternDigest(g *graph.Graph, digest [sha256.Size]byte) (*graph.Graph, bool) {
+	return c.intern(g, &digest)
+}
+
+func (c *Cache) intern(g *graph.Graph, digest *[sha256.Size]byte) (*graph.Graph, bool) {
+	c.mu.Lock()
+	if el, ok := c.entries[g]; ok && el.Value.(*cacheEntry).fp != nil {
+		c.lru.MoveToFront(el)
+		c.indexTextLocked(el, digest)
+		c.mu.Unlock()
+		return g, true
+	}
+	c.mu.Unlock()
 	fp := graph.FingerprintOf(g)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.interned[fp]; ok {
+	el, resident := c.interned[fp]
+	if resident {
 		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).g, true
+	} else {
+		el = c.elementLocked(g)
+		el.Value.(*cacheEntry).fp = &fp
+		c.interned[fp] = el
 	}
-	el := c.elementLocked(g)
-	el.Value.(*cacheEntry).fp = &fp
-	c.interned[fp] = el
-	return g, false
+	c.indexTextLocked(el, digest)
+	return el.Value.(*cacheEntry).g, resident
+}
+
+// indexTextLocked indexes el under digest (nil = none) in place of the
+// entry's previous digest. The caller holds c.mu.
+func (c *Cache) indexTextLocked(el *list.Element, digest *[sha256.Size]byte) {
+	if digest == nil || c.texts[*digest] == el {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if c.texts[e.text] == el {
+		delete(c.texts, e.text)
+	}
+	e.text = *digest
+	c.texts[e.text] = el
+}
+
+// ByDigest returns the resident graph whose Matrix Market text has the
+// SHA-256 digest (as indexed by InternDigest) and true, or nil and false.
+// It leaves the LRU order alone: the caller interns what it gets, which
+// decides residency at that point.
+func (c *Cache) ByDigest(digest [sha256.Size]byte) (*graph.Graph, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.texts[digest]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheEntry).g, true
 }
 
 // Len reports the number of graphs currently cached.
@@ -162,6 +236,7 @@ func (c *Cache) Clear() {
 	defer c.mu.Unlock()
 	c.entries = map[*graph.Graph]*list.Element{}
 	c.interned = map[graph.Fingerprint]*list.Element{}
+	c.texts = map[[sha256.Size]byte]*list.Element{}
 	c.lru.Init()
 }
 
@@ -290,4 +365,139 @@ func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resol
 		e.arts[sopt] = arts
 	}
 	return resolved{comps: e.comps, subs: e.subs, arts: arts}
+}
+
+// answerKey names one memoized answer of a graph: the canonical algorithm,
+// the request seed and the seed-defaulted spectral options the graph's
+// artifacts are keyed by (see resolve).
+type answerKey struct {
+	algorithm string
+	seed      int64
+	spectral  core.Options
+}
+
+// answer is one finished ordering an entry memoizes: what Session.Do
+// returns for it, timing aside. perm is the memo's own copy.
+type answer struct {
+	perm  perm.Perm
+	stats envelope.Stats
+	solve *solver.Stats
+	info  *core.Info
+}
+
+// memoKey returns the key of running the algorithm name under req, and
+// whether its answer may be memoized at all: only for the eight built-ins
+// whose answer is a pure function of the graph, the seed and the spectral
+// options, with no edge weights and cacheable options. WEIGHTED reads
+// weights no key holds, AUTO is a portfolio race a budget makes timing
+// dependent, and a registered plugin need not be pure; the registry is
+// append-only, so these names always mean the built-ins.
+func memoKey(name string, req *OrderRequest) (answerKey, bool) {
+	switch name {
+	case AlgRCM, AlgCM, AlgGPS, AlgGK, AlgKing, AlgSloan, AlgSpectral, AlgSpectralSloan:
+	default:
+		return answerKey{}, false
+	}
+	if req.Weight != nil || !cacheable(req.Spectral) {
+		return answerKey{}, false
+	}
+	sopt := req.Spectral
+	if sopt.Seed == 0 {
+		sopt.Seed = req.Seed
+	}
+	return answerKey{algorithm: name, seed: req.Seed, spectral: sopt}, true
+}
+
+// Recall serves a repeated order from the answer memo: when g is resident
+// and holds an answer of the algorithm name under req, it fills res with
+// it and reports true. The permutation is copied into res.Perm's storage,
+// and res.Solve and res.Info point at solve and info (fresh values when
+// nil) holding copies of the memoized records, so the caller owns res and
+// a recycled one allocates nothing. Otherwise — a nil Cache, an order the
+// memo does not serve (see memoKey), or no answer yet — it reports false
+// and leaves res alone. Like an order, a recall marks g recently used.
+func (c *Cache) Recall(g *graph.Graph, name string, req *OrderRequest, res *Result, solve *solver.Stats, info *core.Info) bool {
+	if c == nil {
+		return false
+	}
+	key, ok := memoKey(name, req)
+	if !ok {
+		return false
+	}
+	c.mu.Lock()
+	el, ok := c.entries[g]
+	if ok {
+		c.lru.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return false
+	}
+	e := el.Value.(*cacheEntry)
+	e.mu.Lock()
+	a := e.answers[key]
+	e.mu.Unlock()
+	if a == nil {
+		return false
+	}
+	p := res.Perm[:0]
+	if p == nil {
+		p = make(perm.Perm, 0, len(a.perm))
+	}
+	*res = Result{Perm: append(p, a.perm...), Stats: a.stats}
+	if a.solve != nil {
+		if solve == nil {
+			solve = new(solver.Stats)
+		}
+		*solve = *a.solve
+		res.Solve = solve
+	}
+	if a.info != nil {
+		if info == nil {
+			info = new(core.Info)
+		}
+		*info = *a.info
+		res.Info = info
+	}
+	return true
+}
+
+// Remember memoizes res, the successful answer of the algorithm name
+// under req on g, for Recall. Only a resident g's answers are kept, and
+// only those memoKey admits; the memo copies what it keeps, so the caller
+// still owns res. Concurrent first orders may both remember: the answers
+// are equal by purity.
+func (c *Cache) Remember(g *graph.Graph, name string, req *OrderRequest, res *Result) {
+	if c == nil {
+		return
+	}
+	key, ok := memoKey(name, req)
+	if !ok {
+		return
+	}
+	c.mu.Lock()
+	el, ok := c.entries[g]
+	c.mu.Unlock()
+	if !ok {
+		return
+	}
+	a := &answer{perm: append(make(perm.Perm, 0, len(res.Perm)), res.Perm...), stats: res.Stats}
+	if res.Solve != nil {
+		st := *res.Solve
+		a.solve = &st
+	}
+	if res.Info != nil {
+		info := *res.Info
+		a.info = &info
+	}
+	e := el.Value.(*cacheEntry)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, dup := e.answers[key]; !dup && len(e.answers) >= maxArtifactOptionSets {
+		e.answers = nil
+	}
+	if e.answers == nil {
+		e.answers = map[answerKey]*answer{}
+	}
+	e.answers[key] = a
 }

@@ -424,8 +424,7 @@ func Order(ctx context.Context, g *graph.Graph, name string, ord Orderer, req Or
 // Whole returns the Artifacts of g when g is one connected component of at
 // least two vertices, resolved through cache (nil = fresh, as are options
 // that are not cacheable); otherwise it returns nil and the number of
-// components g has. It is the whole-graph substrate of Session.Fiedler and
-// of the batch path's warm SPECTRAL answers.
+// components g has. It is the whole-graph substrate of Session.Fiedler.
 func Whole(g *graph.Graph, sopt core.Options, cache *Cache) (*Artifacts, int) {
 	res := resolve(g, 1, sopt, cache)
 	if len(res.subs) != 1 || res.subs[0] == nil {

@@ -17,7 +17,7 @@ import (
 // batch holds one solve-pool slot for its whole duration.
 
 func (s *Server) handleOrderBatch(w http.ResponseWriter, r *http.Request, tnt *tenant) {
-	req, aerr := s.decodeRequest(w, r, true)
+	req, aerr := s.decodeRequest(w, r, tnt.sess, true)
 	if aerr != nil {
 		writeError(w, aerr)
 		return

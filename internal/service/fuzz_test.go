@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	envred "repro"
 )
 
 // FuzzDecodeRequest feeds arbitrary bodies to the one request decoder, as
@@ -42,6 +44,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 	}
 	s := &Server{}
+	sess := envred.NewSession(envred.SessionOptions{})
 	f.Fuzz(func(t *testing.T, body []byte, isJSON, batch bool) {
 		path := "/v1/order"
 		if batch {
@@ -51,7 +54,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if isJSON {
 			r.Header.Set("Content-Type", "application/json")
 		}
-		req, aerr := s.decodeRequest(httptest.NewRecorder(), r, batch)
+		req, aerr := s.decodeRequest(httptest.NewRecorder(), r, sess, batch)
 		if aerr != nil {
 			if aerr.Status != http.StatusBadRequest && aerr.Status != http.StatusRequestEntityTooLarge {
 				t.Fatalf("refused with status %d: %s", aerr.Status, aerr.Message)

@@ -49,8 +49,10 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 // admit is the admission step of every ordering endpoint. It counts the
 // request in flight and takes a tenant slot and a solve-pool slot,
 // queueing under ctx. Then it interns each decoded graph in the tenant
-// Session, so a repeat resolves to the resident instance whose artifacts
-// apply. After a nil return the caller must call leave.
+// Session — by pointer when decoding found it by its text, else by
+// fingerprint, recording the text's digest — so a repeat resolves to the
+// resident instance whose artifacts apply. After a nil return the caller
+// must call leave.
 func (s *Server) admit(ctx context.Context, tnt *tenant, req *request) *apiError {
 	s.m.inFlight.add(1)
 	if aerr := acquire(ctx, tnt.sem); aerr != nil {
@@ -67,8 +69,14 @@ func (s *Server) admit(ctx context.Context, tnt *tenant, req *request) *apiError
 		if it.err != nil {
 			continue
 		}
-		if it.weight == nil {
+		switch {
+		case it.text != nil:
+			it.g, it.resident = tnt.sess.InternText(it.g, *it.text)
+		case it.weight == nil:
 			it.g, it.resident = tnt.sess.Intern(it.g)
+		}
+		if it.textHit {
+			s.m.textHits.inc()
 		}
 		if it.resident {
 			s.m.cacheHits.inc()
@@ -221,7 +229,7 @@ func statusLabel(e *apiError) string {
 // Handlers --------------------------------------------------------------------
 
 func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request, tnt *tenant) {
-	req, aerr := s.decodeRequest(w, r, false)
+	req, aerr := s.decodeRequest(w, r, tnt.sess, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
@@ -240,7 +248,7 @@ func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request, tnt *tenant
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, tnt *tenant) {
-	req, aerr := s.decodeRequest(w, r, false)
+	req, aerr := s.decodeRequest(w, r, tnt.sess, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
@@ -295,7 +303,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request, _ *ten
 }
 
 func (s *Server) handleFiedler(w http.ResponseWriter, r *http.Request, tnt *tenant) {
-	req, aerr := s.decodeRequest(w, r, false)
+	req, aerr := s.decodeRequest(w, r, tnt.sess, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return

@@ -24,6 +24,10 @@ type metrics struct {
 	// memoized artifacts (eigensolve, roots, subgraphs) apply.
 	cacheHits   counter
 	cacheMisses counter
+	// textHits counts admitted requests whose Matrix Market text matched
+	// the digest of a resident graph's, so decoding skipped the parse.
+	// Each is also a cache hit unless the graph was evicted in between.
+	textHits counter
 	// jobs by terminal {status}: done|failed.
 	jobs *counterVec
 	// batches counts /v1/order/batch documents served (their per-item
@@ -72,6 +76,8 @@ func (m *metrics) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "envorderd_cache_hits_total %d\n", m.cacheHits.value())
 	writeHeader(w, "envorderd_cache_misses_total", "counter", "Order/fiedler requests that interned a new graph.")
 	fmt.Fprintf(w, "envorderd_cache_misses_total %d\n", m.cacheMisses.value())
+	writeHeader(w, "envorderd_body_digest_hits_total", "counter", "Order/fiedler graphs whose Matrix Market text matched a resident graph's SHA-256, so decoding skipped the parse.")
+	fmt.Fprintf(w, "envorderd_body_digest_hits_total %d\n", m.textHits.value())
 	writeHeader(w, "envorderd_batches_total", "counter", "Batch ordering documents served (per-item outcomes count in envorderd_orders_total).")
 	fmt.Fprintf(w, "envorderd_batches_total %d\n", m.batches.value())
 	writeHeader(w, "envorderd_jobs_total", "counter", "Async jobs finished, by terminal status.")

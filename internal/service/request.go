@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,6 +76,14 @@ type item struct {
 	// weight is non-nil for WEIGHTED requests; weighted graphs are not
 	// interned (the pattern may repeat with different values).
 	weight func(u, v int) float64
+	// text is the SHA-256 of the Matrix Market text an unweighted graph
+	// was read from (nil for JSON edge lists and WEIGHTED requests).
+	// Admission records it on the graph's cache entry, so the same text
+	// finds the graph again without a parse.
+	text *[sha256.Size]byte
+	// textHit is set when decoding found g by its text in the tenant
+	// Session and skipped the parse.
+	textHit bool
 	// resident is set by admission when the tenant Session already held
 	// a graph with this content (g then points at it).
 	resident bool
@@ -90,8 +99,9 @@ func badRequest(format string, args ...any) *apiError {
 // carries requestJSON; any other body is a raw Matrix Market matrix.
 // Oversize bodies, and graphs declaring more than len(body)+extraVertices
 // vertices in total, give 413; malformed parameters or graphs give 400,
-// except that a malformed batch item fails alone.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, batch bool) (*request, *apiError) {
+// except that a malformed batch item fails alone. A Matrix Market text
+// sess already holds a graph for (see readMM) is not parsed again.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, sess *envred.Session, batch bool) (*request, *apiError) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes()))
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -158,7 +168,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, batch boo
 	case len(body) == 0:
 		return nil, badRequest("empty body (send a Matrix Market matrix, or a JSON document with Content-Type: application/json)")
 	default:
-		it := readMM(bytes.NewReader(body), weighted, &budget)
+		it := readMM(sess, bytes.NewReader(body), textDigest(body, weighted), weighted, &budget)
 		if it.err != nil {
 			return nil, it.err
 		}
@@ -184,7 +194,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, batch boo
 		case src.Graph != nil:
 			*it = buildGraphJSON(src.Graph, weighted)
 		case src.MatrixMarket != "":
-			*it = readMM(strings.NewReader(src.MatrixMarket), weighted, &budget)
+			*it = readMM(sess, strings.NewReader(src.MatrixMarket), textDigest(src.MatrixMarket, weighted), weighted, &budget)
 		default:
 			what := "JSON body"
 			if batch {
@@ -239,10 +249,45 @@ func tooManyVertices() *apiError {
 		Message: fmt.Sprintf("graphs declare more vertices than the body has bytes plus %d", extraVertices)}
 }
 
-// readMM decodes one Matrix Market graph and charges its vertices to the
-// request's budget; a size line beyond the budget fails the whole request
-// with 413 before the graph is built.
-func readMM(r io.Reader, weighted bool, budget *int) item {
+// textDigest returns the SHA-256 of an unweighted request's Matrix Market
+// text, or nil for a WEIGHTED request, whose graphs are not interned. It
+// hashes through a stack buffer, so a text held in a JSON string is not
+// copied whole first.
+func textDigest[T string | []byte](text T, weighted bool) *[sha256.Size]byte {
+	if weighted {
+		return nil
+	}
+	h := sha256.New()
+	var buf [4096]byte
+	for len(text) > 0 {
+		n := copy(buf[:], text)
+		h.Write(buf[:n])
+		text = text[n:]
+	}
+	digest := new([sha256.Size]byte)
+	h.Sum(digest[:0])
+	return digest
+}
+
+// readMM decodes one Matrix Market graph from r and charges its vertices
+// to the request's budget; a size line beyond the budget fails the whole
+// request with 413 before the graph is built. digest is the text's
+// SHA-256 (see textDigest; nil = not keyed). Algorithm and seed travel
+// outside the text, so the text alone names the graph: when sess holds a
+// graph read from the same text, that graph is charged to the budget,
+// exactly as a parse would charge it, and r is not read.
+func readMM(sess *envred.Session, r io.Reader, digest *[sha256.Size]byte, weighted bool, budget *int) item {
+	it := item{text: digest}
+	if digest != nil {
+		if g, ok := sess.LookupText(*digest); ok {
+			if g.N() > *budget {
+				return item{err: tooManyVertices()}
+			}
+			*budget -= g.N()
+			it.g, it.textHit = g, true
+			return it
+		}
+	}
 	g, weight, err := mm.Read(r, weighted, *budget)
 	switch {
 	case errors.Is(err, mm.ErrTooManyVertices):
@@ -251,7 +296,8 @@ func readMM(r io.Reader, weighted bool, budget *int) item {
 		return item{err: badRequest("bad Matrix Market body: %v", err)}
 	}
 	*budget -= g.N()
-	return item{g: g, weight: weight}
+	it.g, it.weight = g, weight
+	return it
 }
 
 func buildGraphJSON(doc *graphJSON, weighted bool) item {

@@ -114,28 +114,50 @@ func (s *Session) OrderWeighted(ctx context.Context, g *Graph, algorithm string,
 // carries the envelope parameters of the returned ordering. On a graph
 // with no component of two or more vertices no solve runs, and Result.Info
 // and Result.Solve are nil.
+//
+// A Session with a cache memoizes the answers of the eight built-in
+// orderers (not WEIGHTED, a request with a Weight, or a registered
+// orderer) per cached graph, algorithm, seed and spectral options: a
+// repeated Do returns a copy of the first answer without ordering or
+// scoring again. Answers are pure functions of those inputs, so the copy
+// is byte-identical to a fresh run; a failed or cancelled order is never
+// memoized.
 func (s *Session) Do(ctx context.Context, g *Graph, algorithm string, req OrderRequest) (Result, error) {
+	var res Result
+	err := s.do(ctx, g, algorithm, req, &res, nil, nil)
+	return res, err
+}
+
+// do is Do writing into res, with the memoized answer's solve record and
+// diagnostics copied into solve and info when non-nil — the one path of
+// Do and of every OrderBatch item, which passes its slot's storage so a
+// warm item allocates nothing.
+func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderRequest, res *Result, solve *SolveStats, info *SpectralInfo) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	name := pipeline.Canonical(algorithm)
 	ord, ok := pipeline.Lookup(name)
 	if !ok {
-		return Result{}, fmt.Errorf("envred: unknown algorithm %q (registered: %v)", algorithm, Algorithms())
+		*res = Result{}
+		return fmt.Errorf("envred: unknown algorithm %q (registered: %v)", algorithm, Algorithms())
 	}
 	if req.Seed == 0 {
 		req.Seed = s.opt.Seed
 	}
 	req.Algorithm = name
 	start := time.Now()
-	res, err := pipeline.Order(ctx, g, name, ord, req, s.cache)
+	var err error
+	if !s.cache.Recall(g, name, &req, res, solve, info) {
+		*res, err = pipeline.Order(ctx, g, name, ord, req, s.cache)
+		if err == nil {
+			res.Stats = envelope.Compute(g, res.Perm)
+			s.cache.Remember(g, name, &req, res)
+		}
+	}
 	res.Algorithm = name
 	res.Elapsed = time.Since(start)
-	if err != nil {
-		return res, err
-	}
-	res.Stats = envelope.Compute(g, res.Perm)
-	return res, nil
+	return err
 }
 
 // Auto splits g into connected components, orders every component
@@ -232,6 +254,33 @@ func (s *Session) Intern(g *Graph) (*Graph, bool) {
 		return g, false
 	}
 	return s.cache.Intern(g)
+}
+
+// InternText is Intern for a graph parsed from a Matrix Market text whose
+// SHA-256 is digest: it also records the digest on the entry g resolves
+// to, so LookupText finds the graph by the same text without parsing it.
+// A graph LookupText returned resolves by pointer, without fingerprinting.
+// A graph keeps one digest, its latest text's: a text that differs only in
+// comments or white space replaces the one before. The digest is evicted
+// and reset with its graph. A session without a cache returns g and false.
+func (s *Session) InternText(g *Graph, digest [32]byte) (*Graph, bool) {
+	if s.cache == nil {
+		return g, false
+	}
+	return s.cache.InternDigest(g, digest)
+}
+
+// LookupText returns the resident graph parsed from a Matrix Market text
+// whose SHA-256 is digest, as recorded by InternText, and true; otherwise
+// nil and false. The text alone names the graph, so a caller holding the
+// same bytes again skips parsing them; it still interns what it gets
+// (InternText), which decides residency. A session without a cache always
+// returns nil and false.
+func (s *Session) LookupText(digest [32]byte) (*Graph, bool) {
+	if s.cache == nil {
+		return nil, false
+	}
+	return s.cache.ByDigest(digest)
 }
 
 // Reset drops the session's in-memory artifact cache, releasing every
