@@ -47,15 +47,12 @@ const (
 	MethodMultilevel = core.MethodMultilevel
 )
 
-// SpectralInfo reports diagnostics of a spectral ordering run (λ2,
-// residual, chosen direction, solver used, full solver statistics).
-type SpectralInfo = core.Info
-
 // SolveStats is the uniform eigensolver telemetry of the unified solver
-// engine: scheme, matvecs, RQI iterations, Jacobi sweeps, hierarchy depth,
-// coarsest size, residual and convergence. It appears in
-// SpectralInfo.Solve, AutoReport.Solve and per spectral candidate in
-// AutoReport component reports.
+// engine: λ2 (Lambda), residual, scheme, matvecs, RQI iterations, Jacobi
+// sweeps, hierarchy depth, coarsest size and convergence. It is an
+// answer's one solve record, Result.Solve, and appears in
+// AutoReport.Solve and per spectral candidate in AutoReport component
+// reports.
 type SolveStats = solver.Stats
 
 // Graph construction --------------------------------------------------------

@@ -60,8 +60,8 @@ func TestWeightedSpectralPublicPath(t *testing.T) {
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Info.Lambda2 <= 0 {
-		t.Fatalf("λ2 = %v", res.Info.Lambda2)
+	if res.Solve.Lambda <= 0 {
+		t.Fatalf("λ2 = %v", res.Solve.Lambda)
 	}
 	// The weak middle link means the two triples {0,1,2} and {3,4,5} are
 	// each strongly coupled: each must be contiguous in the ordering.

@@ -25,8 +25,8 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	want := 4 * math.Pow(math.Sin(math.Pi/40), 2)
-	if math.Abs(res.Info.Lambda2-want) > 1e-4 {
-		t.Fatalf("λ2 = %v, want %v", res.Info.Lambda2, want)
+	if math.Abs(res.Solve.Lambda-want) > 1e-4 {
+		t.Fatalf("λ2 = %v, want %v", res.Solve.Lambda, want)
 	}
 }
 

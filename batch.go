@@ -35,17 +35,16 @@ type BatchOptions struct {
 
 // BatchResult is one item's outcome in an OrderBatch: the same Result a
 // Session.Order call on that graph returns, or the error that item
-// failed with. Result.Solve and Result.Info, when set, point at storage
-// owned by this slot — they are overwritten if the slot is recycled
-// through BatchOptions.Results.
+// failed with. Result.Solve, when set, may point at storage owned by this
+// slot — it is overwritten if the slot is recycled through
+// BatchOptions.Results.
 type BatchResult struct {
 	Result Result
 	Err    error
 
-	// Value backing for a warm item's Result.Solve/Result.Info, so the
-	// steady-state loop never allocates them.
+	// Value backing for a warm item's Result.Solve, so the steady-state
+	// loop never allocates it.
 	solve SolveStats
-	info  SpectralInfo
 }
 
 // orderBatch is the pooled run state of one OrderBatch call — the
@@ -122,7 +121,7 @@ func (s *Session) OrderBatch(ctx context.Context, graphs []*Graph, opt BatchOpti
 func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
 	slot := &b.results[i]
 	req := OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws}
-	slot.Err = b.s.do(b.ctx, b.graphs[i], b.name, req, &slot.Result, &slot.solve, &slot.info)
+	slot.Err = b.s.do(b.ctx, b.graphs[i], b.name, req, &slot.Result, &slot.solve)
 }
 
 // ItemPanicked implements pipeline.BatchPanicHandler: a panic while

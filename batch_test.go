@@ -98,11 +98,8 @@ func sameResult(t *testing.T, tag string, got, want envred.Result) {
 	if got.Solve != nil && *got.Solve != *want.Solve {
 		t.Fatalf("%s: solve %+v, want %+v", tag, *got.Solve, *want.Solve)
 	}
-	if (got.Info == nil) != (want.Info == nil) {
-		t.Fatalf("%s: info presence %v, want %v", tag, got.Info != nil, want.Info != nil)
-	}
-	if got.Info != nil && *got.Info != *want.Info {
-		t.Fatalf("%s: info %+v, want %+v", tag, *got.Info, *want.Info)
+	if got.Reversed != want.Reversed || got.Components != want.Components {
+		t.Fatalf("%s: reversed %v, components %d, want %v, %d", tag, got.Reversed, got.Components, want.Reversed, want.Components)
 	}
 }
 
@@ -234,6 +231,9 @@ func TestOrderBatchSharedSessionRace(t *testing.T) {
 // TestOrderBatchSteadyStateAllocs pins the batch fast path's headline
 // property: once the session's artifacts are warm and the result slots are
 // recycled, a whole batch of cached SPECTRAL orderings allocates nothing.
+// Under the race detector the batch runs and its items are checked, but
+// the bound is not applied: the detector drops pooled run state at random
+// (see raceEnabled).
 func TestOrderBatchSteadyStateAllocs(t *testing.T) {
 	graphs := []*envred.Graph{grid(9, 11), grid(16, 16), path(150), grid(31, 7)}
 	sess := envred.NewSession(envred.SessionOptions{Seed: 13, CacheGraphs: len(graphs)})
@@ -258,7 +258,7 @@ func TestOrderBatchSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("steady-state OrderBatch allocated %v times per batch, want 0", allocs)
 	}
 }

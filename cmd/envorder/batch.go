@@ -78,6 +78,7 @@ func runBatch(files []string, method string, seed int64, budget time.Duration, s
 				Algorithm: item.Algorithm,
 				Seconds:   item.ElapsedMS / 1000,
 				Envelope:  envelope.Stats(item.Envelope),
+				Solve:     item.Solve,
 			})
 		}
 	} else {
@@ -101,16 +102,17 @@ func runBatch(files []string, method string, seed int64, budget time.Duration, s
 				continue
 			}
 			res := &results[i].Result
-			doc := runStats{
-				Matrix:    files[i],
-				N:         graphs[i].N(),
-				Nonzeros:  graphs[i].Nonzeros(),
-				Algorithm: res.Algorithm,
-				Seconds:   res.Elapsed.Seconds(),
-				Envelope:  res.Stats,
-				Spectral:  res.Info,
-			}
-			docs = append(docs, doc)
+			docs = append(docs, runStats{
+				Matrix:     files[i],
+				N:          graphs[i].N(),
+				Nonzeros:   graphs[i].Nonzeros(),
+				Algorithm:  res.Algorithm,
+				Seconds:    res.Elapsed.Seconds(),
+				Envelope:   res.Stats,
+				Solve:      res.Solve,
+				Components: res.Components,
+				Reversed:   res.Reversed,
+			})
 		}
 	}
 	elapsed := time.Since(start)

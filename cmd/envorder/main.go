@@ -21,9 +21,9 @@
 //
 // With -stats json the text report is replaced by a machine-readable JSON
 // document carrying the envelope parameters, the number of eigensolves the
-// run actually performed, the eigensolver statistics (scheme, matvecs, RQI
-// iterations, hierarchy shape, convergence) and — for -method auto — the
-// full per-candidate portfolio report.
+// run actually performed, the answer's solve record (λ2, residual, scheme,
+// matvecs, RQI iterations, hierarchy shape, convergence), the component
+// count and — for -method auto — the full per-candidate portfolio report.
 //
 // With -store URL the run reads and writes a persistent artifact store
 // (fs:///path?max_bytes=N on disk, mem:// in process): eigensolves are
@@ -97,7 +97,7 @@ func main() {
 		stats     = flag.String("stats", "", "report format: 'json' replaces the text report with a machine-readable document (envelope parameters, eigensolver statistics, per-candidate portfolio results)")
 		spyFlag   = flag.Bool("spy", false, "print an ASCII spy plot of the reordered matrix")
 		weighted  = flag.Bool("weighted", false, "with -mm and -alg spectral: use matrix values as Laplacian weights")
-		bounds    = flag.Bool("bounds", false, "print the Theorem 2.2 envelope lower bound vs the achieved envelope")
+		bounds    = flag.Bool("bounds", false, "print the Theorem 2.2 envelope lower bound vs the achieved envelope (connected graphs)")
 		remote    = flag.String("remote", "", "order on an envorderd daemon at this base URL instead of in process")
 		apiKey    = flag.String("api-key", "", "API key for -remote daemons running with -api-keys")
 		storeURL  = flag.String("store", "", "persistent artifact store URL (fs:///path?max_bytes=N, mem://): reuse eigensolves across runs")
@@ -221,9 +221,10 @@ func main() {
 
 	solvesBefore := core.EigensolveCount()
 	start := time.Now()
-	p, info, report := computeOrdering(g, weight, *method, *seed, *parallel, *budget, *portfolio, counted)
+	res := computeOrdering(g, weight, *method, *seed, *parallel, *budget, *portfolio, counted)
 	elapsed := time.Since(start)
 	solves := core.EigensolveCount() - solvesBefore
+	p := res.Perm
 
 	if err := p.Check(); err != nil {
 		log.Fatalf("internal error: invalid permutation: %v", err)
@@ -231,7 +232,7 @@ func main() {
 	s := envelope.Compute(g, p)
 	warnDegradedStore(resil)
 	if strings.EqualFold(*stats, "json") {
-		if err := writeStatsJSON(os.Stdout, name, g, *method, elapsed, s, info, report, solves, counted, resil); err != nil {
+		if err := writeStatsJSON(os.Stdout, name, g, *method, elapsed, s, res, solves, counted, resil); err != nil {
 			log.Fatal(err)
 		}
 		if *out != "" {
@@ -255,13 +256,11 @@ func main() {
 		fmt.Printf("store     : hits=%d misses=%d puts=%d errors=%d (eigensolves %d)\n",
 			st.Hits, st.Misses, st.Puts, st.Errors, solves)
 	}
-	if info != nil {
-		fmt.Printf("lambda2   : %.6g (residual %.2e, multilevel=%v, reversed=%v)\n",
-			info.Lambda2, info.Residual, info.Multilevel, info.Reversed)
-		fmt.Printf("solver    : %s (matvecs %d, spmv workers %d)\n",
-			info.Solve.Scheme, info.Solve.MatVecs, info.Solve.Workers)
+	if sol := res.Solve; sol != nil && res.Report == nil {
+		fmt.Printf("lambda2   : %.6g (residual %.2e, reversed=%v)\n", sol.Lambda, sol.Residual, res.Reversed)
+		fmt.Printf("solver    : %s (matvecs %d, spmv workers %d)\n", sol.Scheme, sol.MatVecs, sol.Workers)
 	}
-	if report != nil {
+	if report := res.Report; report != nil {
 		fmt.Printf("portfolio : %d component(s) on %d worker(s), spmv workers %d\n",
 			len(report.Components), report.Parallelism, report.Solve.Workers)
 		for _, cr := range report.Components {
@@ -275,11 +274,17 @@ func main() {
 				cr.Index, cr.Size, cr.Winner, cr.Stats.Esize, cr.Stats.Bandwidth, skipped)
 		}
 	}
-	if *bounds && info != nil && info.Lambda2 > 0 {
-		bd := envred.EnvelopeBounds(g.N(), g.MaxDegree(), info.Lambda2, envred.GershgorinBound(g))
-		fmt.Printf("Thm 2.2   : Esize ≥ %.0f (achieved/bound = %.1fx), Ework ≥ %.0f (%.1fx)\n",
-			bd.EsizeLower, float64(s.Esize)/bd.EsizeLower,
-			bd.EworkLower, float64(s.Ework)/bd.EworkLower)
+	if *bounds && res.Solve != nil && res.Solve.Lambda > 0 {
+		// Theorem 2.2 bounds the envelope of one connected graph by its λ2;
+		// a disconnected graph's bound is a sum over its components.
+		if res.Components == 1 {
+			bd := envred.EnvelopeBounds(g.N(), g.MaxDegree(), res.Solve.Lambda, envred.GershgorinBound(g))
+			fmt.Printf("Thm 2.2   : Esize ≥ %.0f (achieved/bound = %.1fx), Ework ≥ %.0f (%.1fx)\n",
+				bd.EsizeLower, float64(s.Esize)/bd.EsizeLower,
+				bd.EworkLower, float64(s.Ework)/bd.EworkLower)
+		} else {
+			fmt.Printf("bounds    : Theorem 2.2 applies per connected component; not applied to these %d components\n", res.Components)
+		}
 	}
 	if *spyFlag {
 		fmt.Println(envred.SpyASCII(g, p, 48))
@@ -319,7 +324,7 @@ func runRemote(g *graph.Graph, name, baseURL, apiKey, method string, seed int64,
 	s := envelope.Stats(res.Envelope)
 	if strings.EqualFold(stats, "json") {
 		if err := writeStatsJSON(os.Stdout, name+" (remote)", g, res.Algorithm,
-			time.Duration(res.ElapsedMS*float64(time.Millisecond)), s, nil, nil, 0, nil, nil); err != nil {
+			time.Duration(res.ElapsedMS*float64(time.Millisecond)), s, envred.Result{Solve: res.Solve}, 0, nil, nil); err != nil {
 			log.Fatal(err)
 		}
 	} else {
@@ -383,8 +388,9 @@ func loadGraph(mmFile, problem, grid string, scale float64, seed int64) (*graph.
 // hybrid aliases SPECTRAL+SLOAN, and every other name — built-in or
 // user-registered — dispatches via Session.OrderWeighted. A non-nil weight
 // (-weighted, accepted only with -method spectral/weighted) selects the
-// WEIGHTED algorithm. Unknown names list the valid ones.
-func computeOrdering(g *graph.Graph, weight func(u, v int) float64, alg string, seed int64, parallel int, budget time.Duration, portfolio string, st *envred.CountedStore) (perm.Perm, *envred.SpectralInfo, *envred.AutoReport) {
+// WEIGHTED algorithm. Unknown names list the valid ones. The driver
+// specials identity and random return a Result with only Perm set.
+func computeOrdering(g *graph.Graph, weight func(u, v int) float64, alg string, seed int64, parallel int, budget time.Duration, portfolio string, st *envred.CountedStore) envred.Result {
 	ctx := context.Background()
 	opts := envred.SessionOptions{Seed: seed, Parallelism: parallel, Budget: budget}
 	if st != nil {
@@ -403,13 +409,13 @@ func computeOrdering(g *graph.Graph, weight func(u, v int) float64, alg string, 
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res.Perm, nil, res.Report
+		return res
 	case "hybrid", "spectral-sloan":
 		alg = envred.AlgSpectralSloan
 	case "identity":
-		return perm.Identity(g.N()), nil, nil
+		return envred.Result{Perm: perm.Identity(g.N())}
 	case "random":
-		return perm.Random(g.N(), seed), nil, nil
+		return envred.Result{Perm: perm.Random(g.N(), seed)}
 	}
 	if weight != nil {
 		alg = envred.AlgWeighted
@@ -422,7 +428,7 @@ func computeOrdering(g *graph.Graph, weight func(u, v int) float64, alg string, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res.Perm, res.Info, nil
+	return res
 }
 
 // openStore opens the -store URL behind the default resilience layer: a
@@ -450,11 +456,16 @@ type runStats struct {
 	// during the run: 0 when every spectral artifact came from the -store
 	// (or the method needed none), and 0 for -remote runs (the daemon did
 	// the work).
-	Eigensolves int64                `json:"eigensolves"`
-	Store       *storeStatsJSON      `json:"store,omitempty"`
-	Envelope    envelope.Stats       `json:"envelope"`
-	Spectral    *envred.SpectralInfo `json:"spectral,omitempty"`
-	Portfolio   *envred.AutoReport   `json:"portfolio,omitempty"`
+	Eigensolves int64           `json:"eigensolves"`
+	Store       *storeStatsJSON `json:"store,omitempty"`
+	Envelope    envelope.Stats  `json:"envelope"`
+	// Solve is the answer's solve record, the same SolveStats the
+	// daemon's reply carries as "solve"; Components and Reversed are the
+	// Result's (neither crosses the wire, so -remote documents omit them).
+	Solve      *envred.SolveStats `json:"solve,omitempty"`
+	Components int                `json:"components,omitempty"`
+	Reversed   bool               `json:"reversed,omitempty"`
+	Portfolio  *envred.AutoReport `json:"portfolio,omitempty"`
 }
 
 // storeStatsJSON is the -store traffic record, stable snake_case names.
@@ -492,7 +503,7 @@ func warnDegradedStore(resil *envred.ResilientStore) {
 }
 
 func writeStatsJSON(w io.Writer, name string, g *graph.Graph, method string, elapsed time.Duration,
-	s envelope.Stats, info *envred.SpectralInfo, report *envred.AutoReport, solves int64, counted *envred.CountedStore, resil *envred.ResilientStore) error {
+	s envelope.Stats, res envred.Result, solves int64, counted *envred.CountedStore, resil *envred.ResilientStore) error {
 	doc := runStats{
 		Matrix:      name,
 		N:           g.N(),
@@ -501,8 +512,10 @@ func writeStatsJSON(w io.Writer, name string, g *graph.Graph, method string, ela
 		Seconds:     elapsed.Seconds(),
 		Eigensolves: solves,
 		Envelope:    s,
-		Spectral:    info,
-		Portfolio:   report,
+		Solve:       res.Solve,
+		Components:  res.Components,
+		Reversed:    res.Reversed,
+		Portfolio:   res.Report,
 	}
 	if counted != nil {
 		st := counted.Stats()

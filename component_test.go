@@ -131,7 +131,7 @@ func TestSessionCachesDisconnectedSolves(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s on a second Session over the same store ran %d eigensolves, want 0", alg, n)
 		}
-		if res.Solve == nil || !res.Solve.FromStore || !res.Info.Solve.FromStore {
+		if res.Solve == nil || !res.Solve.FromStore {
 			t.Errorf("%s on a second Session: solve %+v does not say it came from the store", alg, res.Solve)
 		}
 		if !res.Perm.Equal(want[alg]) {

@@ -56,7 +56,7 @@
 //	sess := envred.NewSession(envred.SessionOptions{})
 //	res, err := sess.Order(ctx, g, envred.AlgSpectral)
 //	if err != nil { ... }
-//	fmt.Println(res.Stats.Esize, res.Stats.Bandwidth, res.Info.Lambda2)
+//	fmt.Println(res.Stats.Esize, res.Stats.Bandwidth, res.Solve.Lambda)
 //
 // # The ordering service: Session and the Orderer registry
 //
@@ -74,8 +74,9 @@
 //	res, err = sess.Auto(ctx, g)                        // portfolio race
 //	x, solve, err := sess.Fiedler(ctx, g)               // cached eigensolve
 //
-// Every method returns the uniform Result{Perm, Stats, Solve, Info,
-// Algorithm, Elapsed, Report}. Cancelling ctx (or exceeding an Auto
+// Every method returns the uniform Result{Perm, Stats, Solve, Reversed,
+// Components, Algorithm, Elapsed, Report}; Solve is the answer's one solve
+// record (λ2 in Solve.Lambda). Cancelling ctx (or exceeding an Auto
 // Budget) interrupts in-flight eigensolves at restart / V-cycle
 // granularity and returns the typed *ErrCancelled carrying the best-so-far
 // fallback eigenpair.
@@ -205,7 +206,7 @@
 // SpectralOptions.Method picks the scheme (MethodAuto runs the multilevel
 // solver, with an LOBPCG minimization step before each level's RQI, at
 // every size; MethodLanczos forces direct Lanczos), and every layer
-// reports the same SolveStats record: SpectralInfo.Solve for the ordering
+// reports the same SolveStats record: Result.Solve for the ordering
 // entry points, AutoReport.Solve plus a per-spectral-candidate copy for
 // the portfolio engine, and a matvecs column in the harness tables.
 // AutoReport.Eigensolves counts the solve records the run's candidates

@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Fiedler value λ2 = %.6f (eigensolver residual %.1e, %s in %v)\n\n",
-		spectral.Info.Lambda2, spectral.Info.Residual, spectral.Solve.Scheme, spectral.Elapsed.Round(time.Microsecond))
+		spectral.Solve.Lambda, spectral.Solve.Residual, spectral.Solve.Scheme, spectral.Elapsed.Round(time.Microsecond))
 
 	fmt.Printf("%-10s %10s %10s %10s\n", "ordering", "envelope", "work Σr²", "bandwidth")
 	show := func(name string, s envred.EnvelopeStats) {

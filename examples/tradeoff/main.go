@@ -55,7 +55,7 @@ func main() {
 			log.Fatalf("%s: %v", budget.name, err)
 		}
 		fmt.Printf("%-22s %10d %12.6f %10.3f\n",
-			budget.name, res.Stats.Esize, res.Info.Lambda2, elapsed)
+			budget.name, res.Stats.Esize, res.Solve.Lambda, elapsed)
 	}
 	fmt.Println("\nRCM reference:")
 	fmt.Printf("%-22s %10d\n", "RCM", envred.Esize(g, envred.RCM(g)))

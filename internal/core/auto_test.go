@@ -16,18 +16,18 @@ import (
 // that used to fall below the Lanczos switch builds a hierarchy.
 func TestAutoIsMultilevelAtEverySize(t *testing.T) {
 	g := graph.Grid(25, 20)
-	_, info, err := spectral(context.Background(), scratch.New(), g, Options{})
+	_, st, err := spectral(context.Background(), scratch.New(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Solve.Scheme != solver.SchemeMultilevel || !info.Multilevel {
-		t.Fatalf("MethodAuto solved a 500-vertex grid with %q", info.Solve.Scheme)
+	if st.Scheme != solver.SchemeMultilevel {
+		t.Fatalf("MethodAuto solved a 500-vertex grid with %q", st.Scheme)
 	}
-	if info.Solve.Levels < 2 {
-		t.Fatalf("MethodAuto built %d levels on a 500-vertex grid, want ≥ 2", info.Solve.Levels)
+	if st.Levels < 2 {
+		t.Fatalf("MethodAuto built %d levels on a 500-vertex grid, want ≥ 2", st.Levels)
 	}
-	if !info.Solve.Converged || info.MatVecs == 0 {
-		t.Fatalf("healthy multilevel solve misreported: %+v", info.Solve)
+	if !st.Converged || st.MatVecs == 0 {
+		t.Fatalf("healthy multilevel solve misreported: %+v", st)
 	}
 }
 

@@ -11,53 +11,47 @@ import (
 	"repro/internal/solver"
 )
 
-// Multilevel runs must report nonzero MatVecs in Info — the acceptance
-// criterion closing the "multilevel contributes 0" gap.
+// Multilevel runs must report nonzero MatVecs in their solve record — the
+// acceptance criterion closing the "multilevel contributes 0" gap.
 func TestMultilevelMatVecsInstrumented(t *testing.T) {
 	g := graph.Grid(30, 30)
-	_, info, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel, Multilevel: multilevel.Options{CoarsestSize: 60}})
+	_, st, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel, Multilevel: multilevel.Options{CoarsestSize: 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Multilevel {
-		t.Fatal("multilevel solver not recorded")
+	if st.Scheme != solver.SchemeMultilevel {
+		t.Fatalf("Scheme = %q, want %q", st.Scheme, solver.SchemeMultilevel)
 	}
-	if info.MatVecs == 0 {
+	if st.MatVecs == 0 {
 		t.Fatal("multilevel run reports 0 MatVecs")
 	}
-	if info.Solve.Scheme != solver.SchemeMultilevel {
-		t.Fatalf("Solve.Scheme = %q, want %q", info.Solve.Scheme, solver.SchemeMultilevel)
+	if st.Levels < 2 || st.RQIIterations == 0 || st.JacobiSweeps == 0 {
+		t.Fatalf("multilevel solve stats incomplete: %+v", st)
 	}
-	if info.Solve.MatVecs != info.MatVecs {
-		t.Fatalf("Info.MatVecs %d does not mirror Solve.MatVecs %d", info.MatVecs, info.Solve.MatVecs)
-	}
-	if info.Solve.Levels < 2 || info.Solve.RQIIterations == 0 || info.Solve.JacobiSweeps == 0 {
-		t.Fatalf("multilevel solve stats incomplete: %+v", info.Solve)
-	}
-	if !info.Solve.Converged {
-		t.Fatalf("healthy solve not converged: %+v", info.Solve)
+	if !st.Converged {
+		t.Fatalf("healthy solve not converged: %+v", st)
 	}
 }
 
-// The partial-convergence bugfix must propagate to Info: a starved
-// multilevel coarsest solve surfaces Converged=false through Info.Solve
-// while still producing a valid ordering.
-func TestPartialConvergencePropagatesToInfo(t *testing.T) {
+// The partial-convergence bugfix must propagate to the solve record: a
+// starved multilevel coarsest solve surfaces Converged=false while still
+// producing a valid ordering.
+func TestPartialConvergencePropagatesToSolve(t *testing.T) {
 	g := graph.Grid(40, 40)
 	opt := Options{Method: MethodMultilevel}
 	opt.Multilevel.CoarsestSize = 200
 	opt.Multilevel.Lanczos = lanczos.Options{MaxBasis: 3, MaxRestarts: 1, Tol: 1e-14}
-	p, info, err := spectral(context.Background(), scratch.New(), g, opt)
+	p, st, err := spectral(context.Background(), scratch.New(), g, opt)
 	if err != nil {
 		t.Fatalf("partial convergence must not be a hard error: %v", err)
 	}
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if info.Solve.Converged {
-		t.Fatal("starved coarsest solve reported Converged=true in Info")
+	if st.Converged {
+		t.Fatal("starved coarsest solve reported Converged=true")
 	}
-	if info.Solve.Residual == 0 {
+	if st.Residual == 0 {
 		t.Fatal("residual not propagated for partial solve")
 	}
 }

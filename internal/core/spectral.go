@@ -96,58 +96,16 @@ func (o Options) Solver() solver.Solver {
 	return solver.Multilevel{Opt: mlOpt, Op: o.Operator}
 }
 
-// Info reports diagnostics of a spectral ordering run. The ordering engine
-// fills one per component (ConnectedInfo) and folds a disconnected graph's
-// into one: estimates and direction from the largest component, counters
-// summed, Converged and FromStore and-ed.
-type Info struct {
-	// Lambda2 is the λ2 estimate of the (largest) component.
-	Lambda2 float64
-	// Residual is the eigensolver residual on the largest component.
-	Residual float64
-	// Reversed is true when the nonincreasing sort won the envelope
-	// comparison of Algorithm 1 step 3.
-	Reversed bool
-	// Multilevel is true when the multilevel solver was used for the
-	// largest component.
-	Multilevel bool
-	// Components is the number of connected components ordered.
-	Components int
-	// MatVecs counts Laplacian applications across every eigensolve of the
-	// run, all components and both schemes included (it mirrors
-	// Solve.MatVecs). The SPECTRAL+SLOAN regression tests use it to prove
-	// the hybrid never repeats an eigensolve.
-	MatVecs int
-	// Solve carries the full uniform solver statistics: estimates (Lambda,
-	// Residual, Levels, CoarsestN, Scheme) from the largest component's
-	// solve, counters (MatVecs, RQIIterations, JacobiSweeps) summed across
-	// every component, Converged and-ed across them.
-	Solve solver.Stats
-}
-
-// ConnectedInfo is the Info of Algorithm 1 on one connected component: the
-// solve's statistics and whether the nonincreasing sort won.
-func ConnectedInfo(st solver.Stats, reversed bool) Info {
-	return Info{
-		Lambda2:    st.Lambda,
-		Residual:   st.Residual,
-		Reversed:   reversed,
-		Multilevel: st.Scheme == solver.SchemeMultilevel,
-		Components: 1,
-		MatVecs:    st.MatVecs,
-		Solve:      st,
-	}
-}
-
 // eigensolveCount counts every Fiedler eigensolve this process has
 // performed (not consumed-from-cache). The CLI's -stats output and the CI
 // persistent-store check read it to prove a warm run solved nothing.
 var eigensolveCount atomic.Int64
 
 // EigensolveCount reports the number of Fiedler eigensolves performed by
-// this process so far. Unlike Info/Report counters, which attribute cached
-// solves to the runs that consume them, this counts work actually done —
-// the number a persistent artifact store exists to drive to zero.
+// this process so far. Unlike solve records and Report counters, which
+// attribute cached solves to the runs that consume them, this counts work
+// actually done — the number a persistent artifact store exists to drive
+// to zero.
 func EigensolveCount() int64 { return eigensolveCount.Load() }
 
 // testHookEigensolve, when non-nil, observes every Fiedler eigensolve with

@@ -13,30 +13,31 @@ import (
 	"repro/internal/order"
 	"repro/internal/perm"
 	"repro/internal/scratch"
+	"repro/internal/solver"
 )
 
 // spectral is Algorithm 1 on the connected graph g as the ordering engine
 // runs it on one component: FiedlerConnectedWS, then OrderFiedler.
-func spectral(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, Info, error) {
+func spectral(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, solver.Stats, error) {
 	if g.N() <= 1 {
-		return perm.Identity(g.N()), Info{Components: 1}, nil
+		return perm.Identity(g.N()), solver.Stats{}, nil
 	}
 	x, st, err := FiedlerConnectedWS(ctx, ws, g, opt)
 	if err != nil {
-		return nil, Info{}, err
+		return nil, solver.Stats{}, err
 	}
-	o, _, reversed := OrderFiedler(ws, g, x)
-	return o, ConnectedInfo(st, reversed), nil
+	o, _, _ := OrderFiedler(ws, g, x)
+	return o, st, nil
 }
 
 // spectralSloan is the SPECTRAL+SLOAN hybrid on the connected graph g: the
 // better of the spectral ordering and its Sloan refinement.
-func spectralSloan(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, Info, error) {
-	o, info, err := spectral(ctx, ws, g, opt)
+func spectralSloan(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt Options) (perm.Perm, solver.Stats, error) {
+	o, st, err := spectral(ctx, ws, g, opt)
 	if err != nil || g.N() <= 2 {
-		return o, info, err
+		return o, st, err
 	}
-	return RefineSpectralWS(ws, g, o, envelope.EsizeInto(ws, g, o)), info, nil
+	return RefineSpectralWS(ws, g, o, envelope.EsizeInto(ws, g, o)), st, nil
 }
 
 func TestSpectralValidPermutation(t *testing.T) {
@@ -50,7 +51,7 @@ func TestSpectralValidPermutation(t *testing.T) {
 		"empty":     graph.NewBuilder(0).Build(),
 	}
 	for name, g := range graphs {
-		p, info, err := spectral(context.Background(), scratch.New(), g, Options{})
+		p, _, err := spectral(context.Background(), scratch.New(), g, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -62,7 +63,6 @@ func TestSpectralValidPermutation(t *testing.T) {
 		if err := p.Check(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		_ = info
 	}
 }
 
@@ -119,11 +119,11 @@ func TestSpectralMultilevelAgreesWithLanczos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, infoM, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel})
+	pm, stM, err := spectral(context.Background(), scratch.New(), g, Options{Method: MethodMultilevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !infoM.Multilevel {
+	if stM.Scheme != solver.SchemeMultilevel {
 		t.Fatal("multilevel method not recorded")
 	}
 	el, em := envelope.Esize(g, pl), envelope.Esize(g, pm)

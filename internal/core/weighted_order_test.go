@@ -40,7 +40,7 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lw, lu := rw.Solve.Lambda, ru.Info.Lambda2; math.Abs(lw-lu) > 1e-8*(1+lu) {
+	if lw, lu := rw.Solve.Lambda, ru.Solve.Lambda; math.Abs(lw-lu) > 1e-8*(1+lu) {
 		t.Fatalf("λ2: weighted %v vs unweighted %v", lw, lu)
 	}
 	if pw, pu := rw.Perm, ru.Perm; !pw.Equal(pu) {

@@ -34,21 +34,15 @@ const (
 // changes results (pinned by TestArtifactCandidatesMatchStandalone).
 
 // fiedlerResult packages a spectral ordering of one component as a
-// Result. On error the Info carries the failed solve's burned counters and
-// no estimates, so a failed call still shows what it spent. A call that
+// Result. On error the Solve carries the failed solve's burned counters
+// and no Perm, so a failed call still shows what it spent. A call that
 // gave up waiting for another caller's solve ran none (a zero st; see
 // Artifacts.Fiedler) and carries no solve record at all.
 func fiedlerResult(o perm.Perm, st solver.Stats, reversed bool, err error) (Result, error) {
 	if err != nil && st == (solver.Stats{}) {
 		return Result{}, err
 	}
-	if err != nil {
-		info := &core.Info{Components: 1, MatVecs: st.MatVecs}
-		info.Solve.Accumulate(st)
-		return Result{Solve: &st, Info: info}, err
-	}
-	info := core.ConnectedInfo(st, reversed)
-	return Result{Perm: o, Solve: &st, Info: &info}, nil
+	return Result{Perm: o, Solve: &st, Reversed: reversed}, err
 }
 
 func init() {

@@ -379,10 +379,11 @@ type answerKey struct {
 // answer is one finished ordering an entry memoizes: what Session.Do
 // returns for it, timing aside. perm is the memo's own copy.
 type answer struct {
-	perm  perm.Perm
-	stats envelope.Stats
-	solve *solver.Stats
-	info  *core.Info
+	perm       perm.Perm
+	stats      envelope.Stats
+	solve      *solver.Stats
+	reversed   bool
+	components int
 }
 
 // memoKey returns the key of running the algorithm name under req, and
@@ -411,12 +412,12 @@ func memoKey(name string, req *OrderRequest) (answerKey, bool) {
 // Recall serves a repeated order from the answer memo: when g is resident
 // and holds an answer of the algorithm name under req, it fills res with
 // it and reports true. The permutation is copied into res.Perm's storage,
-// and res.Solve and res.Info point at solve and info (fresh values when
-// nil) holding copies of the memoized records, so the caller owns res and
-// a recycled one allocates nothing. Otherwise — a nil Cache, an order the
-// memo does not serve (see memoKey), or no answer yet — it reports false
-// and leaves res alone. Like an order, a recall marks g recently used.
-func (c *Cache) Recall(g *graph.Graph, name string, req *OrderRequest, res *Result, solve *solver.Stats, info *core.Info) bool {
+// and res.Solve points at solve (a fresh value when nil) holding a copy of
+// the memoized record, so the caller owns res and a recycled one
+// allocates nothing. Otherwise — a nil Cache, an order the memo does not
+// serve (see memoKey), or no answer yet — it reports false and leaves res
+// alone. Like an order, a recall marks g recently used.
+func (c *Cache) Recall(g *graph.Graph, name string, req *OrderRequest, res *Result, solve *solver.Stats) bool {
 	if c == nil {
 		return false
 	}
@@ -444,20 +445,13 @@ func (c *Cache) Recall(g *graph.Graph, name string, req *OrderRequest, res *Resu
 	if p == nil {
 		p = make(perm.Perm, 0, len(a.perm))
 	}
-	*res = Result{Perm: append(p, a.perm...), Stats: a.stats}
+	*res = Result{Perm: append(p, a.perm...), Stats: a.stats, Reversed: a.reversed, Components: a.components}
 	if a.solve != nil {
 		if solve == nil {
 			solve = new(solver.Stats)
 		}
 		*solve = *a.solve
 		res.Solve = solve
-	}
-	if a.info != nil {
-		if info == nil {
-			info = new(core.Info)
-		}
-		*info = *a.info
-		res.Info = info
 	}
 	return true
 }
@@ -481,14 +475,11 @@ func (c *Cache) Remember(g *graph.Graph, name string, req *OrderRequest, res *Re
 	if !ok {
 		return
 	}
-	a := &answer{perm: append(make(perm.Perm, 0, len(res.Perm)), res.Perm...), stats: res.Stats}
+	a := &answer{perm: append(make(perm.Perm, 0, len(res.Perm)), res.Perm...), stats: res.Stats,
+		reversed: res.Reversed, components: res.Components}
 	if res.Solve != nil {
 		st := *res.Solve
 		a.solve = &st
-	}
-	if res.Info != nil {
-		info := *res.Info
-		a.info = &info
 	}
 	e := el.Value.(*cacheEntry)
 	e.mu.Lock()

@@ -89,19 +89,20 @@ func TestAnswerMemo(t *testing.T) {
 	g := graph.Grid(9, 7)
 	req := OrderRequest{Seed: 3}
 	var res Result
-	if cache.Recall(g, AlgSpectral, &req, &res, nil, nil) {
+	if cache.Recall(g, AlgSpectral, &req, &res, nil) {
 		t.Fatal("recalled an answer for a graph that is not resident")
 	}
 	want := orderAndRemember(t, cache, g, AlgSpectral, req)
-	if !cache.Recall(g, AlgSpectral, &req, &res, nil, nil) {
+	if !cache.Recall(g, AlgSpectral, &req, &res, nil) {
 		t.Fatal("no answer recalled after Remember")
 	}
-	if !res.Perm.Equal(want.Perm) || res.Stats != want.Stats || *res.Solve != *want.Solve || *res.Info != *want.Info {
+	if !res.Perm.Equal(want.Perm) || res.Stats != want.Stats || *res.Solve != *want.Solve ||
+		res.Reversed != want.Reversed || res.Components != want.Components {
 		t.Fatal("recalled answer differs from the remembered one")
 	}
 	res.Perm[0], res.Solve.Lambda = -1, -1 // the caller owns what it got
 	var again Result
-	cache.Recall(g, AlgSpectral, &req, &again, nil, nil)
+	cache.Recall(g, AlgSpectral, &req, &again, nil)
 	if !again.Perm.Equal(want.Perm) || *again.Solve != *want.Solve {
 		t.Fatal("mutating a recalled answer changed the memo")
 	}
@@ -115,7 +116,7 @@ func TestAnswerMemo(t *testing.T) {
 		{AlgSpectral, OrderRequest{Seed: 3, Spectral: core.Options{Method: core.MethodLanczos}}},
 	}
 	for _, o := range other {
-		if cache.Recall(g, o.name, &o.req, &res, nil, nil) {
+		if cache.Recall(g, o.name, &o.req, &res, nil) {
 			t.Fatalf("%s %+v: recalled another key's answer", o.name, o.req)
 		}
 	}
@@ -134,7 +135,7 @@ func TestAnswerMemo(t *testing.T) {
 			t.Fatalf("%s: memoKey admits an order whose answer is not a pure function of its key", u.name)
 		}
 		cache.Remember(g, u.name, &u.req, &want)
-		if cache.Recall(g, u.name, &u.req, &res, nil, nil) {
+		if cache.Recall(g, u.name, &u.req, &res, nil) {
 			t.Fatalf("%s: recalled an unmemoizable order", u.name)
 		}
 	}
@@ -151,17 +152,17 @@ func TestAnswerMemo(t *testing.T) {
 	}
 
 	rcm := OrderRequest{Seed: 10 + maxArtifactOptionSets + 2}
-	if !cache.Recall(g, AlgRCM, &rcm, &res, nil, nil) {
+	if !cache.Recall(g, AlgRCM, &rcm, &res, nil) {
 		t.Fatal("the latest answer was not recalled")
 	}
 	orderAndRemember(t, cache, graph.Path(12), AlgRCM, rcm) // evicts g
 	Order(context.Background(), g, AlgRCM, mustLookup(t, AlgRCM), rcm, cache)
-	if cache.Recall(g, AlgRCM, &rcm, &res, nil, nil) {
+	if cache.Recall(g, AlgRCM, &rcm, &res, nil) {
 		t.Fatal("an answer outlived its evicted graph")
 	}
 	orderAndRemember(t, cache, g, AlgRCM, rcm)
 	cache.Clear()
-	if cache.Recall(g, AlgRCM, &rcm, &res, nil, nil) {
+	if cache.Recall(g, AlgRCM, &rcm, &res, nil) {
 		t.Fatal("an answer outlived Clear")
 	}
 }

@@ -74,8 +74,8 @@ func TestOrderDisconnectedValid(t *testing.T) {
 				continue
 			}
 			res := orderAlg(t, g, alg, OrderRequest{Seed: 1, Spectral: core.Options{Seed: 1}, Weight: w}, nil)
-			if res.Info != nil && res.Info.Components != len(graph.Components(g)) {
-				t.Errorf("%s %s: Info.Components = %d, want %d", name, alg, res.Info.Components, len(graph.Components(g)))
+			if res.Components != len(graph.Components(g)) {
+				t.Errorf("%s %s: Components = %d, want %d", name, alg, res.Components, len(graph.Components(g)))
 			}
 		}
 	}
@@ -87,24 +87,20 @@ var builtinAlgs = map[string]bool{
 	AlgSpectral: true, AlgSpectralSloan: true, AlgWeighted: true,
 }
 
-// On a disconnected graph the Info counters aggregate across components
-// while the estimates stay the largest component's.
-func TestInfoAggregatesAcrossComponents(t *testing.T) {
+// On a disconnected graph the solve record's counters aggregate across
+// components while the estimates stay the largest component's.
+func TestSolveAggregatesAcrossComponents(t *testing.T) {
 	g := disconnectedFixture()
 	res := orderAlg(t, g, AlgSpectral, OrderRequest{Seed: 7, Spectral: core.Options{Seed: 7}}, nil)
-	info := res.Info
-	if info.Components != 5 {
-		t.Fatalf("components = %d, want 5", info.Components)
-	}
-	if info.Solve.MatVecs != info.MatVecs {
-		t.Fatalf("Solve.MatVecs %d != MatVecs %d", info.Solve.MatVecs, info.MatVecs)
+	if res.Components != 5 {
+		t.Fatalf("components = %d, want 5", res.Components)
 	}
 	// The largest component (6x6 grid) is what the estimates describe.
-	if info.Solve.CoarsestN != 36 {
-		t.Fatalf("estimates not from the largest component: %+v", info.Solve)
+	if res.Solve.CoarsestN != 36 {
+		t.Fatalf("estimates not from the largest component: %+v", *res.Solve)
 	}
-	if !info.Solve.Converged {
-		t.Fatalf("all-healthy run not converged: %+v", info.Solve)
+	if !res.Solve.Converged {
+		t.Fatalf("all-healthy run not converged: %+v", *res.Solve)
 	}
 }
 
@@ -115,8 +111,8 @@ func TestSpectralComponentsOrderedIndependently(t *testing.T) {
 		{6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, // comp B (6)
 	})
 	res := orderAlg(t, g, AlgSpectral, OrderRequest{}, nil)
-	if res.Info.Components != 2 {
-		t.Fatalf("components = %d", res.Info.Components)
+	if res.Components != 2 {
+		t.Fatalf("components = %d", res.Components)
 	}
 	s := envelope.Compute(g, res.Perm)
 	if s.Bandwidth != 1 {
@@ -144,11 +140,11 @@ func TestSpectralSloanEigensolvesOncePerComponent(t *testing.T) {
 		t.Fatalf("SpectralSloan ran %d eigensolves, Spectral ran %d — the hybrid must not repeat the eigensolve",
 			sloanSolves, spectralSolves)
 	}
-	if hybrid.Info.MatVecs != spectral.Info.MatVecs {
+	if hybrid.Solve.MatVecs != spectral.Solve.MatVecs {
 		t.Fatalf("SpectralSloan used %d matvecs, Spectral used %d — matvec count must not grow",
-			hybrid.Info.MatVecs, spectral.Info.MatVecs)
+			hybrid.Solve.MatVecs, spectral.Solve.MatVecs)
 	}
-	if spectral.Info.MatVecs == 0 {
+	if spectral.Solve.MatVecs == 0 {
 		t.Fatal("MatVecs not instrumented (0 recorded)")
 	}
 }
@@ -202,7 +198,7 @@ func TestOrderCachesComponentSolves(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("warm SPECTRAL and SPECTRAL+SLOAN ran %d eigensolves, want 0", n)
 	}
-	if !second.Perm.Equal(first.Perm) || *second.Info != *first.Info {
+	if !second.Perm.Equal(first.Perm) || *second.Solve != *first.Solve || second.Reversed != first.Reversed {
 		t.Fatal("cached SPECTRAL differs from the cold run")
 	}
 	if want := orderAlg(t, g, AlgSpectralSloan, req, nil).Perm; !hybrid.Perm.Equal(want) {

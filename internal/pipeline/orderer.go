@@ -41,10 +41,10 @@ import (
 // as read-only — they are the memoized copies every other candidate and
 // later cached call reads — and must honor ctx: return promptly (with
 // ctx.Err() or a *lanczos.ErrCancelled) once it is cancelled. Only
-// Result.Perm and optionally Result.Solve and Result.Info need to be
-// filled in; the engine computes Stats, Algorithm and Elapsed. A returned
-// Result.Solve is the candidate's solve record: Auto folds the first one
-// per component into its report (see Report.Eigensolves).
+// Result.Perm and optionally Result.Solve and Result.Reversed need to be
+// filled in; the engine computes the rest. A returned Result.Solve is the
+// candidate's solve record: Auto folds the first one per component into
+// its report (see Report.Eigensolves).
 //
 // A panic in an implementation fails the call, not the process: every
 // engine entry point (Order, the portfolio race, batch workers) recovers
@@ -98,12 +98,18 @@ type Result struct {
 	Algorithm string
 	// Stats are the envelope parameters of Perm on the input graph.
 	Stats envelope.Stats
-	// Solve carries the eigensolver statistics behind the run (nil for
-	// purely combinatorial orderings).
+	// Solve is the answer's one solve record: the eigensolver statistics
+	// behind the run, λ2 in Solve.Lambda (nil for purely combinatorial
+	// orderings). On a disconnected graph the first component with a
+	// record gives the estimates, and the counters are summed (see
+	// foldDiagnostics).
 	Solve *solver.Stats
-	// Info carries the full spectral diagnostics (λ2, residual, direction)
-	// when the run was a spectral ordering; nil otherwise.
-	Info *core.Info
+	// Reversed is true when the nonincreasing sort of the Fiedler vector
+	// won Algorithm 1's envelope comparison, on the first component with a
+	// solve record (a spectral Order; Auto leaves it false).
+	Reversed bool
+	// Components is the number of connected components of the input graph.
+	Components int
 	// Elapsed is the wall-clock ordering time.
 	Elapsed time.Duration
 	// Report is the full portfolio report when the run came from the Auto

@@ -381,11 +381,11 @@ func Auto(ctx context.Context, g *graph.Graph, opt Options, cache *Cache) (perm.
 // the component's labels. req.Spectral.Seed defaults to req.Seed, as
 // Auto's does to Options.Seed. Single vertices are placed by the engine.
 // The component orderings are validated and concatenated largest first
-// into one fresh permutation, and their spectral diagnostics folded into
-// one Result (see foldDiagnostics). An error names the failing component
-// on disconnected input; the Result then carries the diagnostics gathered
-// so far. Order fills Perm, Solve and Info; Stats, Algorithm and Elapsed
-// are the caller's.
+// into one fresh permutation, and their solve records folded into one
+// (see foldDiagnostics). An error names the failing component on
+// disconnected input; the Result then carries the diagnostics gathered so
+// far. Order fills Perm, Solve, Reversed and Components; Stats, Algorithm
+// and Elapsed are the caller's.
 func Order(ctx context.Context, g *graph.Graph, name string, ord Orderer, req OrderRequest, cache *Cache) (Result, error) {
 	if req.Workspace == nil {
 		ws := scratch.Get()
@@ -397,7 +397,7 @@ func Order(ctx context.Context, g *graph.Graph, name string, ord Orderer, req Or
 	}
 	res := resolve(g, 1, req.Spectral, cache)
 	out := make(perm.Perm, 0, g.N())
-	var run Result
+	run := Result{Components: len(res.subs)}
 	for i, sub := range res.subs {
 		if sub == nil {
 			out = res.place(out, perm.Perm{0}, i)
@@ -408,7 +408,7 @@ func Order(ctx context.Context, g *graph.Graph, name string, ord Orderer, req Or
 		creq.Weight = res.weight(req.Weight, i)
 		creq.Artifacts = res.arts[i]
 		r, err := orderComponent(ctx, ord, name, sub, &creq)
-		foldDiagnostics(&run, r, len(res.subs))
+		foldDiagnostics(&run, r)
 		if err != nil {
 			if len(res.subs) > 1 {
 				err = fmt.Errorf("pipeline: component %d: %w", i, err)
@@ -451,30 +451,20 @@ func orderComponent(ctx context.Context, ord Orderer, name string, sub *graph.Gr
 	return r, nil
 }
 
-// foldDiagnostics folds component result r into the diagnostics of a run
-// over a graph of the given number of components, in component order
-// (largest first): the first component with a solve record gives the
-// estimates and the direction, later ones add their counters and and
-// their Converged and FromStore flags.
-func foldDiagnostics(run *Result, r Result, components int) {
-	if r.Solve != nil {
-		if run.Solve == nil {
-			st := *r.Solve
-			run.Solve = &st
-		} else {
-			foldSolve(run.Solve, *r.Solve)
-		}
+// foldDiagnostics folds component result r into the diagnostics of a run,
+// in component order (largest first): the first component with a solve
+// record gives the estimates and the direction, later ones add their
+// counters and and their Converged and FromStore flags.
+func foldDiagnostics(run *Result, r Result) {
+	if r.Solve == nil {
+		return
 	}
-	if r.Info != nil {
-		if run.Info == nil {
-			info := *r.Info
-			run.Info = &info
-		} else {
-			run.Info.MatVecs += r.Info.MatVecs
-			foldSolve(&run.Info.Solve, r.Info.Solve)
-		}
-		run.Info.Components = components
+	if run.Solve == nil {
+		st := *r.Solve
+		run.Solve, run.Reversed = &st, r.Reversed
+		return
 	}
+	foldSolve(run.Solve, *r.Solve)
 }
 
 // foldSolve adds a later component's solve to dst: counters summed,

@@ -140,12 +140,8 @@ func (s *Server) orderResult(algorithm string, res envred.Result, it *item, elap
 		Solve:     res.Solve,
 		ElapsedMS: millis(elapsed),
 	}
-	if res.Info != nil {
-		out.Lambda2 = res.Info.Lambda2
-		if out.Solve == nil {
-			solve := res.Info.Solve
-			out.Solve = &solve
-		}
+	if res.Solve != nil {
+		out.Lambda2 = res.Solve.Lambda
 	}
 	if res.Report != nil {
 		out.Winners = res.Report.Wins

@@ -17,12 +17,13 @@ import (
 func answerBytes(t *testing.T, res envred.Result) string {
 	t.Helper()
 	b, err := json.Marshal(struct {
-		Algorithm string
-		Perm      envred.Perm
-		Stats     envred.EnvelopeStats
-		Solve     *envred.SolveStats
-		Info      *envred.SpectralInfo
-	}{res.Algorithm, res.Perm, res.Stats, res.Solve, res.Info})
+		Algorithm  string
+		Perm       envred.Perm
+		Stats      envred.EnvelopeStats
+		Solve      *envred.SolveStats
+		Reversed   bool
+		Components int
+	}{res.Algorithm, res.Perm, res.Stats, res.Solve, res.Reversed, res.Components})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestWaitGiveUpCarriesNoSolveRecord(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("%s: want ErrCancelled from the queue, got %v", alg, err)
 		}
-		if res.Solve != nil || res.Info != nil {
+		if res.Solve != nil {
 			t.Fatalf("%s: a call that ran no solve carries a solve record %+v", alg, res.Solve)
 		}
 	}

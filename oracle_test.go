@@ -3,6 +3,7 @@ package envred_test
 import (
 	"context"
 	"fmt"
+	"testing"
 
 	envred "repro"
 	"repro/internal/core"
@@ -23,15 +24,49 @@ import (
 // functions. The session-equivalence golden test and FuzzOrderers hold the
 // engine to them byte for byte. Do not change them to match the engine.
 
+// oracleInfo is the frozen core.Info, the diagnostics record the
+// whole-graph paths folded: the largest component's estimates, counters
+// summed across components. The engine's answer carries them as its one
+// solve record (Result.Solve) beside Result.Reversed and
+// Result.Components; checkOracleInfo compares the two field by field.
+type oracleInfo struct {
+	Lambda2    float64
+	Residual   float64
+	Reversed   bool
+	Multilevel bool
+	Components int
+	MatVecs    int
+	Solve      solver.Stats
+}
+
+// checkOracleInfo fails t unless res carries the diagnostics of want: the
+// solve record equal to want.Solve, its λ2, residual, matvecs and scheme
+// agreeing with want's copies of them, and the same direction and
+// component count.
+func checkOracleInfo(t *testing.T, tag string, res envred.Result, want oracleInfo) {
+	t.Helper()
+	if res.Solve == nil {
+		t.Fatalf("%s: no solve record, want %+v", tag, want.Solve)
+	}
+	st := *res.Solve
+	if st != want.Solve || st.Lambda != want.Lambda2 || st.Residual != want.Residual || st.MatVecs != want.MatVecs ||
+		(st.Scheme == solver.SchemeMultilevel) != want.Multilevel {
+		t.Fatalf("%s: solve record differs:\n got %+v\nwant %+v", tag, st, want)
+	}
+	if res.Reversed != want.Reversed || res.Components != want.Components {
+		t.Fatalf("%s: reversed %v, components %d, want %v, %d", tag, res.Reversed, res.Components, want.Reversed, want.Components)
+	}
+}
+
 // oracleOrder orders g with the frozen whole-graph implementation of the
 // built-in algorithm alg. Spectral runs report their folded diagnostics;
 // weight is read by WEIGHTED only.
-func oracleOrder(ctx context.Context, g *graph.Graph, alg string, seed int64, weight func(u, v int) float64) (perm.Perm, *core.Info, error) {
+func oracleOrder(ctx context.Context, g *graph.Graph, alg string, seed int64, weight func(u, v int) float64) (perm.Perm, *oracleInfo, error) {
 	ws := scratch.New()
 	opt := core.Options{Seed: seed}
 	var (
 		o    perm.Perm
-		info core.Info
+		info oracleInfo
 		err  error
 	)
 	switch alg {
@@ -63,7 +98,7 @@ func oracleOrder(ctx context.Context, g *graph.Graph, alg string, seed int64, we
 // solve statistics into the run diagnostics; record is true for the
 // largest (first-ordered) component, whose spectral estimates become the
 // run's.
-func oracleAbsorb(info *core.Info, st solver.Stats, record bool) {
+func oracleAbsorb(info *oracleInfo, st solver.Stats, record bool) {
 	info.MatVecs += st.MatVecs
 	if record {
 		counters := info.Solve
@@ -79,9 +114,9 @@ func oracleAbsorb(info *core.Info, st solver.Stats, record bool) {
 
 // oracleSpectral is the frozen core.SpectralWS: Algorithm 1, component by
 // component, concatenated largest first.
-func oracleSpectral(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt core.Options) (perm.Perm, core.Info, error) {
+func oracleSpectral(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt core.Options) (perm.Perm, oracleInfo, error) {
 	n := g.N()
-	info := core.Info{}
+	info := oracleInfo{}
 	if n == 0 {
 		return perm.Perm{}, info, nil
 	}
@@ -108,7 +143,7 @@ func oracleSpectral(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, 
 	return out, info, nil
 }
 
-func oracleSpectralConnected(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt core.Options, info *core.Info, record bool) (perm.Perm, error) {
+func oracleSpectralConnected(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt core.Options, info *oracleInfo, record bool) (perm.Perm, error) {
 	n := g.N()
 	if n == 1 {
 		return perm.Perm{0}, nil
@@ -130,7 +165,7 @@ func oracleSpectralConnected(ctx context.Context, ws *scratch.Workspace, g *grap
 // oracleSpectralSloan is the frozen core.SpectralSloanWS: the better of the
 // spectral ordering and its per-component Sloan refinement, refining each
 // component's slice of the global spectral ordering.
-func oracleSpectralSloan(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt core.Options) (perm.Perm, core.Info, error) {
+func oracleSpectralSloan(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt core.Options) (perm.Perm, oracleInfo, error) {
 	spectral, info, err := oracleSpectral(ctx, ws, g, opt)
 	if err != nil {
 		return nil, info, err
@@ -183,9 +218,9 @@ func oracleSpectralSloan(ctx context.Context, ws *scratch.Workspace, g *graph.Gr
 
 // oracleWeighted is the frozen core.WeightedSpectral: Algorithm 1 on the
 // weighted Laplacian, component by component, with direct Lanczos.
-func oracleWeighted(ctx context.Context, g *graph.Graph, weight func(u, v int) float64, opt core.Options) (perm.Perm, core.Info, error) {
+func oracleWeighted(ctx context.Context, g *graph.Graph, weight func(u, v int) float64, opt core.Options) (perm.Perm, oracleInfo, error) {
 	n := g.N()
-	info := core.Info{}
+	info := oracleInfo{}
 	if n == 0 {
 		return perm.Perm{}, info, nil
 	}
@@ -211,7 +246,7 @@ func oracleWeighted(ctx context.Context, g *graph.Graph, weight func(u, v int) f
 	return out, info, nil
 }
 
-func oracleWeightedConnected(ctx context.Context, g *graph.Graph, weight func(u, v int) float64, opt core.Options, info *core.Info, record bool) (perm.Perm, error) {
+func oracleWeightedConnected(ctx context.Context, g *graph.Graph, weight func(u, v int) float64, opt core.Options, info *oracleInfo, record bool) (perm.Perm, error) {
 	n := g.N()
 	if n == 1 {
 		return perm.Perm{0}, nil

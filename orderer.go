@@ -29,9 +29,10 @@ type OrderRequest = pipeline.OrderRequest
 
 // Result is the uniform outcome of an ordering run — returned by
 // Session.Order, Session.Auto and every registered Orderer: the
-// permutation, the algorithm name, the envelope parameters, the
-// eigensolver statistics and spectral diagnostics when applicable, the
-// wall-clock time, and (for Auto) the full portfolio report.
+// permutation, the algorithm name, the envelope parameters, the solve
+// record (λ2, residual, matvecs) when a solve ran, the sort direction, the
+// component count, the wall-clock time, and (for Auto) the full portfolio
+// report.
 type Result = pipeline.Result
 
 // Artifacts is the per-component artifact cache the portfolio engine

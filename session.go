@@ -111,9 +111,10 @@ func (s *Session) OrderWeighted(ctx context.Context, g *Graph, algorithm string,
 // per-call eigensolver options. The request's Seed defaults to the
 // session's; its Artifacts field is managed by the engine and should be
 // left nil, and its Workspace may carry the caller's scratch. Result.Stats
-// carries the envelope parameters of the returned ordering. On a graph
-// with no component of two or more vertices no solve runs, and Result.Info
-// and Result.Solve are nil.
+// carries the envelope parameters of the returned ordering, and
+// Result.Solve is the answer's one solve record: λ2 in Solve.Lambda, the
+// residual and the matvecs, nil when no solve ran, as on a graph with no
+// component of two or more vertices.
 //
 // A Session with a cache memoizes the answers of the eight built-in
 // orderers (not WEIGHTED, a request with a Weight, or a registered
@@ -124,15 +125,15 @@ func (s *Session) OrderWeighted(ctx context.Context, g *Graph, algorithm string,
 // memoized.
 func (s *Session) Do(ctx context.Context, g *Graph, algorithm string, req OrderRequest) (Result, error) {
 	var res Result
-	err := s.do(ctx, g, algorithm, req, &res, nil, nil)
+	err := s.do(ctx, g, algorithm, req, &res, nil)
 	return res, err
 }
 
-// do is Do writing into res, with the memoized answer's solve record and
-// diagnostics copied into solve and info when non-nil — the one path of
-// Do and of every OrderBatch item, which passes its slot's storage so a
-// warm item allocates nothing.
-func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderRequest, res *Result, solve *SolveStats, info *SpectralInfo) error {
+// do is Do writing into res, with the memoized answer's solve record
+// copied into solve when non-nil — the one path of Do and of every
+// OrderBatch item, which passes its slot's storage so a warm item
+// allocates nothing.
+func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderRequest, res *Result, solve *SolveStats) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -148,7 +149,7 @@ func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderR
 	req.Algorithm = name
 	start := time.Now()
 	var err error
-	if !s.cache.Recall(g, name, &req, res, solve, info) {
+	if !s.cache.Recall(g, name, &req, res, solve) {
 		*res, err = pipeline.Order(ctx, g, name, ord, req, s.cache)
 		if err == nil {
 			res.Stats = envelope.Compute(g, res.Perm)
@@ -195,11 +196,12 @@ func (s *Session) AutoWith(ctx context.Context, g *Graph, opt AutoOptions) (Resu
 	start := time.Now()
 	p, rep, err := pipeline.Auto(ctx, g, opt, s.cache)
 	res := Result{
-		Perm:      p,
-		Algorithm: "AUTO",
-		Stats:     rep.Stats,
-		Report:    &rep,
-		Elapsed:   time.Since(start),
+		Perm:       p,
+		Algorithm:  "AUTO",
+		Stats:      rep.Stats,
+		Components: len(rep.Components),
+		Report:     &rep,
+		Elapsed:    time.Since(start),
 	}
 	if rep.Eigensolves > 0 {
 		solve := rep.Solve
